@@ -45,12 +45,7 @@ from .ggm import (
     partial_correlations,
     select_lambda_ric,
 )
-from .impute import (
-    ImputationEnsemble,
-    hot_deck_impute,
-    make_ensemble,
-    split_seed,
-)
+from .impute import hot_deck_impute, split_seed
 from .npn import TransformedMatrix, nonparanormal_transform, winsorization_bound
 from .pipeline import (
     AnalysisConfig,
@@ -95,7 +90,6 @@ __all__ = [
     "DegenerateColumnError",
     "DEFAULT_NA_TOKENS",
     "GroundTruth",
-    "ImputationEnsemble",
     "MechanismKind",
     "MechanismSpec",
     "MissgraphError",
@@ -131,7 +125,6 @@ __all__ = [
     "kkt_certificate",
     "load_schema",
     "make_completeness_indicators",
-    "make_ensemble",
     "missing_profile",
     "nonparanormal_transform",
     "parse_csv",

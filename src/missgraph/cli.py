@@ -12,11 +12,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Category, write_csv
+from .dataset import Category, write_csv, write_matrix_csv
 from .errors import (
     ConfigError,
     MissgraphError,
@@ -43,7 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--schema", type=Path, help="JSON file: variable -> category")
     analyze.add_argument("--config", type=Path, help="JSON config file (flags win)")
     analyze.add_argument("--alpha", type=float, help="significance threshold")
-    analyze.add_argument("--imputations", type=int, help="ensemble size")
+    analyze.add_argument(
+        "--imputations", type=int, dest="n_imputations", help="ensemble size"
+    )
     analyze.add_argument("--seed", type=int, help="master seed")
     analyze.add_argument("--lambda-method", choices=("ric", "fixed"))
     analyze.add_argument("--lambda-value", type=float)
@@ -94,60 +97,21 @@ def _load_config_file(path: Path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    allowed = {
-        "input", "schema", "alpha", "n_imputations", "seed", "lambda_method",
-        "lambda_value", "n_rotations", "out", "na_tokens", "dump_members",
-    }
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return raw
 
 
 def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
-    """Merge defaults, config file and flags (later wins)."""
-    merged: dict = {}
-    if args.config is not None:
-        merged.update(_load_config_file(args.config))
-    flag_map = {
-        "input": args.input,
-        "schema": args.schema,
-        "alpha": args.alpha,
-        "n_imputations": args.imputations,
-        "seed": args.seed,
-        "lambda_method": args.lambda_method,
-        "lambda_value": args.lambda_value,
-        "n_rotations": args.n_rotations,
-        "out": args.out,
-        "na_tokens": args.na_tokens,
-        "dump_members": args.dump_members,
-    }
-    merged.update({k: v for k, v in flag_map.items() if v is not None})
-    defaults = AnalysisConfig()
-    config = AnalysisConfig(
-        input=Path(merged["input"]) if merged.get("input") else None,
-        schema=Path(merged["schema"]) if merged.get("schema") else None,
-        alpha=float(merged.get("alpha", defaults.alpha)),
-        n_imputations=int(merged.get("n_imputations", defaults.n_imputations)),
-        seed=int(merged.get("seed", defaults.seed)),
-        lambda_method=str(merged.get("lambda_method", defaults.lambda_method)),
-        lambda_value=(
-            float(merged["lambda_value"])
-            if merged.get("lambda_value") is not None
-            else None
-        ),
-        n_rotations=int(merged.get("n_rotations", defaults.n_rotations)),
-        out=None,
-        na_tokens=(
-            frozenset(str(t) for t in merged["na_tokens"])
-            if merged.get("na_tokens") is not None
-            else defaults.na_tokens
-        ),
-        dump_members=bool(merged.get("dump_members", defaults.dump_members)),
-    )
-    config.out = _default_outdir(
-        Path(merged["out"]) if merged.get("out") else None
-    )
+    """Merge defaults, config file and flags (later wins).
+
+    Every ``analyze`` flag stores into the ``AnalysisConfig`` field of the
+    same name, which is also its config-file key.
+    """
+    merged = _load_config_file(args.config) if args.config is not None else {}
+    for f in fields(AnalysisConfig):
+        if getattr(args, f.name) is not None:
+            merged[f.name] = getattr(args, f.name)
+    config = AnalysisConfig.from_dict(merged)
+    config.out = _default_outdir(config.out)
     return config
 
 
@@ -226,7 +190,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         written.append(truth_path)
         probs_path = outdir / "probabilities.csv"
-        _write_probabilities(truth.probabilities, names, probs_path)
+        write_matrix_csv(truth.probabilities, names, probs_path)
         written.append(probs_path)
     except Exception:
         for path in written:
@@ -235,16 +199,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for path in written:
         print(f"wrote: {path}")
     return 0
-
-
-def _write_probabilities(probs: np.ndarray, names: list[str], path: Path) -> None:
-    import csv as _csv
-
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = _csv.writer(handle)
-        writer.writerow(names)
-        for row in probs:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

@@ -242,6 +242,15 @@ def write_csv(dataset: Dataset, path: str | Path, na_token: str = "NA") -> None:
             )
 
 
+def write_matrix_csv(matrix: np.ndarray, names: list[str], path: Path) -> None:
+    """Write a complete matrix under a header row, shortest round-trip reprs."""
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(names)
+        for row in matrix:
+            writer.writerow([repr(float(v)) for v in row])
+
+
 def missing_profile(dataset: Dataset) -> list[ProfileRow]:
     """Per-variable missing proportion, in column order."""
     missing = (~dataset.mask).mean(axis=0)

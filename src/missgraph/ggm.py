@@ -47,31 +47,20 @@ _CLAMP_WARN = 1e-6
 
 @dataclass(frozen=True)
 class PrecisionFit:
-    """Estimation result for one complete matrix.
+    """The part of one member's fit that pooling reads.
 
-    ``theta_hat`` is the sparse penalized precision (exact zeros off the
-    selected support); ``t_hat`` is its de-biased counterpart used for
-    inference; ``partial_corr`` is derived from ``t_hat``.
+    ``partial_corr`` is derived from the de-biased precision; ``support`` is
+    the boolean off-diagonal support of the sparse penalized estimate; ``n``
+    is the sample count.
     """
 
-    lam: float
-    sigma_hat: np.ndarray
-    theta_hat: np.ndarray
-    t_hat: np.ndarray
     partial_corr: np.ndarray
-    edge_sd: np.ndarray
+    support: np.ndarray
     n: int
 
     @property
     def p(self) -> int:
-        return self.sigma_hat.shape[0]
-
-    @property
-    def support(self) -> np.ndarray:
-        """Boolean off-diagonal support of the sparse estimate."""
-        s = self.theta_hat != 0.0
-        np.fill_diagonal(s, False)
-        return s
+        return self.partial_corr.shape[0]
 
 
 def _as_matrix(t) -> np.ndarray:
@@ -290,6 +279,16 @@ def select_lambda_ric(
     return float(maxima.mean())
 
 
+def _debias(theta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``2*theta - theta @ sigma @ theta`` (symmetrized) for a PD ``theta``."""
+    try:
+        np.linalg.cholesky(theta)
+    except np.linalg.LinAlgError:
+        raise ContractError("theta_hat must be positive definite") from None
+    t_hat = 2.0 * theta - theta @ sigma @ theta
+    return (t_hat + t_hat.T) / 2.0
+
+
 def desparsify(
     theta_hat: np.ndarray, sigma_hat: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -304,13 +303,7 @@ def desparsify(
     p_values : two-sided standard-normal tails of ``z``; 1 on the diagonal.
     """
     theta = np.asarray(theta_hat, dtype=float)
-    sigma = np.asarray(sigma_hat, dtype=float)
-    try:
-        np.linalg.cholesky(theta)
-    except np.linalg.LinAlgError:
-        raise ContractError("theta_hat must be positive definite") from None
-    t_hat = 2.0 * theta - theta @ sigma @ theta
-    t_hat = (t_hat + t_hat.T) / 2.0
+    t_hat = _debias(theta, np.asarray(sigma_hat, dtype=float))
     d = np.diag(theta)
     edge_sd = np.sqrt(np.outer(d, d) + theta**2)
     z = np.sqrt(n) * t_hat / edge_sd
@@ -343,18 +336,14 @@ def partial_correlations(t_hat: np.ndarray) -> np.ndarray:
 def fit_precision(
     t: TransformedMatrix | np.ndarray, lam: float
 ) -> PrecisionFit:
-    """Correlation -> sparse precision -> de-biased inference, bundled."""
+    """Correlation -> sparse precision -> de-biased partial correlations."""
     x = _as_matrix(t)
     sigma = correlation_matrix(x)
     theta = glasso_fit(sigma, lam)
-    t_hat, edge_sd, _, _ = desparsify(theta, sigma, x.shape[0])
-    partial = partial_correlations(t_hat)
+    support = theta != 0.0
+    np.fill_diagonal(support, False)
     return PrecisionFit(
-        lam=float(lam),
-        sigma_hat=sigma,
-        theta_hat=theta,
-        t_hat=t_hat,
-        partial_corr=partial,
-        edge_sd=edge_sd,
+        partial_corr=partial_correlations(_debias(theta, sigma)),
+        support=support,
         n=x.shape[0],
     )

@@ -16,12 +16,10 @@ reproduce bit-identically across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .augment import AugmentedDataset
-from .errors import ContractError, UnimputableColumnError
+from .errors import UnimputableColumnError
 
 SEED_SPLIT_CONSTANT = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -30,18 +28,6 @@ _MASK64 = (1 << 64) - 1
 def split_seed(master_seed: int, k: int) -> int:
     """Derive the k-th child seed from a master seed (documented XOR rule)."""
     return (int(master_seed) ^ ((k * SEED_SPLIT_CONSTANT) & _MASK64)) & _MASK64
-
-
-@dataclass(frozen=True)
-class ImputationEnsemble:
-    """K complete copies of an augmented dataset, one per split seed."""
-
-    members: tuple[np.ndarray, ...]
-    seeds: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.members)
 
 
 def hot_deck_impute(augmented: AugmentedDataset, seed: int) -> np.ndarray:
@@ -69,13 +55,3 @@ def hot_deck_impute(augmented: AugmentedDataset, seed: int) -> np.ndarray:
         filled[~observed, j] = rng.choice(pool, size=n_missing, replace=True)
     return np.hstack([filled, augmented.indicator_values])
 
-
-def make_ensemble(
-    augmented: AugmentedDataset, k: int = 25, master_seed: int = 0
-) -> ImputationEnsemble:
-    """Generate K complete matrices from seeds split off ``master_seed``."""
-    if k < 1:
-        raise ContractError(f"ensemble size must be >= 1, got {k}")
-    seeds = tuple(split_seed(master_seed, i) for i in range(1, k + 1))
-    members = tuple(hot_deck_impute(augmented, seed) for seed in seeds)
-    return ImputationEnsemble(members=members, seeds=seeds)

@@ -21,8 +21,6 @@ from scipy import stats
 
 from .errors import ContractError, DegenerateColumnError
 
-_TOL = 1e-8
-
 
 def winsorization_bound(n: int) -> float:
     """Truncation level keeping quantile arguments strictly inside (0, 1)."""
@@ -31,18 +29,9 @@ def winsorization_bound(n: int) -> float:
 
 @dataclass(frozen=True)
 class TransformedMatrix:
-    """Gaussianized matrix plus the per-column mid-ranks kept for audit."""
+    """Gaussianized matrix: every column centred with unit sample sd."""
 
     values: np.ndarray
-    ranks: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
 
 
 def nonparanormal_transform(
@@ -70,7 +59,6 @@ def nonparanormal_transform(
         raise ContractError("matrix must be complete (impute first)")
     delta = winsorization_bound(n)
     values = np.empty_like(m)
-    ranks = np.empty_like(m)
     for j in range(p):
         col = m[:, j]
         if col.min() == col.max():
@@ -82,16 +70,5 @@ def nonparanormal_transform(
         g = g - g.mean()
         sd = g.std(ddof=1)
         values[:, j] = g / sd
-        ranks[:, j] = r
-    return TransformedMatrix(values=values, ranks=ranks)
+    return TransformedMatrix(values=values)
 
-
-def check_standardized(t: TransformedMatrix) -> None:
-    """Assert the output invariant: mean 0, unit sample sd, all finite."""
-    v = t.values
-    if not np.all(np.isfinite(v)):
-        raise ContractError("transform produced non-finite values")
-    if np.abs(v.mean(axis=0)).max() > _TOL:
-        raise ContractError("transformed columns are not centred")
-    if np.abs(v.std(axis=0, ddof=1) - 1.0).max() > _TOL:
-        raise ContractError("transformed columns are not unit variance")

@@ -15,7 +15,8 @@ the whole run is a pure function of (config, seed).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,7 +25,13 @@ import scipy
 
 from . import __version__
 from .augment import make_completeness_indicators
-from .dataset import DEFAULT_NA_TOKENS, Dataset, load_schema, missing_profile
+from .dataset import (
+    DEFAULT_NA_TOKENS,
+    Dataset,
+    load_schema,
+    missing_profile,
+    write_matrix_csv,
+)
 from .errors import ConfigError, ContractError, stage
 from .ggm import fit_precision, select_lambda_ric
 from .impute import hot_deck_impute, split_seed
@@ -37,6 +44,7 @@ from .pooling import (
     edge_p_values,
     extract_missingness_arcs,
     pool_partial_correlations,
+    require_fisher_dof,
 )
 from .report import AnalysisReport, render_arcs_csv, render_dot
 
@@ -81,19 +89,63 @@ class AnalysisConfig:
         if self.n_rotations < 1:
             raise ConfigError(f"n_rotations must be >= 1, got {self.n_rotations}")
 
+    @classmethod
+    def from_dict(cls, values: dict) -> AnalysisConfig:
+        """Build a config from a mapping keyed by field name.
+
+        Each value must have its field's JSON type (``null`` only where the
+        default is None); an unknown key or a wrong type is a ConfigError.
+        """
+        hints = typing.get_type_hints(cls)
+        unknown = sorted(set(values) - set(hints))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**{k: _coerce(k, hints[k], v) for k, v in values.items()})
+
     def to_dict(self) -> dict:
-        return {
-            "input": str(self.input) if self.input else None,
-            "schema": str(self.schema) if self.schema else None,
-            "alpha": self.alpha,
-            "n_imputations": self.n_imputations,
-            "seed": self.seed,
-            "lambda_method": self.lambda_method,
-            "lambda_value": self.lambda_value,
-            "n_rotations": self.n_rotations,
-            "na_tokens": sorted(self.na_tokens),
-            "dump_members": self.dump_members,
-        }
+        """JSON form of every field but ``out``, so that reports written to
+        different directories stay byte-identical."""
+        result = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Path):
+                value = str(value)
+            elif isinstance(value, frozenset):
+                value = sorted(value)
+            result[f.name] = value
+        del result["out"]
+        return result
+
+
+# Field type -> (test of a JSON value, its name in error messages).
+_JSON_TYPES = {
+    Path: (lambda v: isinstance(v, (str, Path)), "a path string"),
+    float: (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+        "a number",
+    ),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    frozenset: (
+        lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+        "a list of strings",
+    ),
+}
+
+
+def _coerce(name: str, hint, value):
+    """Check ``value`` against the JSON type of field ``name`` and convert it."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        hint = args[0]
+    kind = typing.get_origin(hint) or hint
+    accepts, description = _JSON_TYPES[kind]
+    if not accepts(value):
+        raise ConfigError(f"config key {name!r} must be {description}, got {value!r}")
+    return kind(value)
 
 
 @dataclass
@@ -114,6 +166,7 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     started = time.perf_counter()
     with stage("augment"):
         augmented = make_completeness_indicators(dataset)
+        require_fisher_dof(dataset.n_rows, len(augmented.metas))
     warnings_list: list[str] = []
     if not augmented.indicator_metas:
         warnings_list.append(NO_INDICATOR_WARNING)
@@ -287,20 +340,10 @@ def run_analysis(config: AnalysisConfig) -> tuple[AnalysisResult, list[Path]]:
         if config.dump_members:
             for idx, member in enumerate(result.members, start=1):
                 member_path = outdir / f"member_{idx:03d}.csv"
-                _write_member_csv(member, result.table.names, member_path)
+                write_matrix_csv(member, result.table.names, member_path)
                 written.append(member_path)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
         raise
     return result, written
-
-
-def _write_member_csv(member: np.ndarray, names: list[str], path: Path) -> None:
-    import csv as _csv
-
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = _csv.writer(handle)
-        writer.writerow(names)
-        for row in member:
-            writer.writerow([repr(float(v)) for v in row])

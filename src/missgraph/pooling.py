@@ -143,6 +143,15 @@ def pool_partial_correlations(
     )
 
 
+def require_fisher_dof(n: int, p_vars: int) -> None:
+    """Raise ContractError unless ``n > p_vars + 3``, so the Fisher z
+    statistic of :func:`edge_p_values` has positive degrees of freedom."""
+    if n <= p_vars + 3:
+        raise ContractError(
+            f"need n > p_vars + 3 for Fisher significance (n={n}, p_vars={p_vars})"
+        )
+
+
 def edge_p_values(
     table: PooledEdgeTable, n: int | None = None, p_vars: int | None = None
 ) -> PooledEdgeTable:
@@ -153,10 +162,7 @@ def edge_p_values(
     """
     n = table.n if n is None else n
     p_vars = table.pooled_rho.shape[0] if p_vars is None else p_vars
-    if n <= p_vars + 3:
-        raise ContractError(
-            f"need n > p_vars + 3 for Fisher significance (n={n}, p_vars={p_vars})"
-        )
+    require_fisher_dof(n, p_vars)
     dof = n - (p_vars - 2) - 3
     dim = table.pooled_rho.shape[0]
     z = np.arctanh(table.pooled_rho, where=~np.eye(dim, dtype=bool),

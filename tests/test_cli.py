@@ -187,6 +187,37 @@ class TestExitCodes:
         assert payload["kind"] == "config"
         assert payload["code"] == 2
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"alpha": "abc"},
+            {"dump_members": "false"},
+            {"na_tokens": "NA"},
+            {"seed": 1.7},
+        ],
+        ids=lambda entry: next(iter(entry)),
+    )
+    def test_wrong_config_value_type_is_config_error(self, entry, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        out = tmp_path / "out"
+        code, _, err = run(
+            [
+                "analyze",
+                "--input", str(DATA / "mnar_example.csv"),
+                "--config", str(cfg),
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["kind"] == "config"
+        assert next(iter(entry)) in payload["message"]
+        assert not out.exists()
+
     def test_missing_input_is_parse_error(self, tmp_path, capsys):
         code, _, err = run(
             ["analyze", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)],

@@ -265,14 +265,23 @@ class TestPartialCorrelations:
         assert rho[0, 1] == 1.0
 
 
-def test_fit_precision_bundle(rng):
-    x = rng.standard_normal((500, 4))
-    t = nonparanormal_transform(x)
-    fit = fit_precision(t, lam=0.1)
-    assert fit.n == 500
-    assert fit.p == 4
-    assert fit.lam == 0.1
-    assert np.all(np.abs(fit.partial_corr) <= 1.0)
-    assert fit.support.dtype == bool
-    cert = kkt_certificate(fit.sigma_hat, fit.theta_hat, fit.lam)
-    assert cert["duality_gap"] <= 1e-6
+def test_fit_precision_matches_library_path(rng):
+    # the per-member path must give the library de-sparsified estimator's
+    # partial correlations bit for bit
+    z = rng.standard_normal((500, 4))
+    z[:, 1] += 0.6 * z[:, 0]  # a chain 0 - 1 - 2, so the support is mixed
+    z[:, 2] += 0.6 * z[:, 1]
+    x = nonparanormal_transform(z).values
+    lam = 0.1
+    sigma = correlation_matrix(x)
+    theta = glasso_fit(sigma, lam)
+    fit = fit_precision(x, lam)
+    np.testing.assert_array_equal(
+        fit.partial_corr, partial_correlations(desparsify(theta, sigma, 500)[0])
+    )
+    off = ~np.eye(4, dtype=bool)
+    np.testing.assert_array_equal(fit.support, (theta != 0.0) & off)
+    assert 0 < fit.support.sum() < off.sum()
+    assert (fit.n, fit.p) == (500, 4)
+    cert = kkt_certificate(sigma, theta, lam)
+    assert max(cert.values()) <= 1e-6

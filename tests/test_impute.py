@@ -6,7 +6,6 @@ from missgraph import (
     UnimputableColumnError,
     hot_deck_impute,
     make_completeness_indicators,
-    make_ensemble,
     split_seed,
 )
 
@@ -65,28 +64,34 @@ def test_unimputable_column_named():
         hot_deck_impute(aug, 0)
 
 
+def ensemble(aug, k, master_seed):
+    """Members 1..k as the pipeline draws them."""
+    return [hot_deck_impute(aug, split_seed(master_seed, i)) for i in range(1, k + 1)]
+
+
 class TestEnsemble:
     def test_k_members(self):
         ds = make_dataset({"v": [1.0, None, 3.0, 4.0]})
         aug = make_completeness_indicators(ds)
-        ens = make_ensemble(aug, k=25, master_seed=1)
-        assert ens.k == 25
-        assert len(set(ens.seeds)) == 25
+        members = ensemble(aug, k=25, master_seed=1)
+        assert len(members) == 25
+        assert all(np.isfinite(m).all() for m in members)
+        assert len({split_seed(1, i) for i in range(1, 26)}) == 25
 
     def test_no_missing_cells_all_members_identical(self):
         ds = make_dataset({"v": [1.0, 2.0], "w": [3.0, 4.0]})
         aug = make_completeness_indicators(ds)
-        ens = make_ensemble(aug, k=4, master_seed=7)
-        for member in ens.members[1:]:
-            np.testing.assert_array_equal(member, ens.members[0])
+        members = ensemble(aug, k=4, master_seed=7)
+        for member in members[1:]:
+            np.testing.assert_array_equal(member, members[0])
 
     def test_same_master_seed_bit_identical(self):
         col = [1.0, None, 3.0, None, 5.0, 6.0, None, 8.0]
         ds = make_dataset({"v": col})
         aug = make_completeness_indicators(ds)
-        a = make_ensemble(aug, k=5, master_seed=42)
-        b = make_ensemble(aug, k=5, master_seed=42)
-        for ma, mb in zip(a.members, b.members):
+        a = ensemble(aug, k=5, master_seed=42)
+        b = ensemble(aug, k=5, master_seed=42)
+        for ma, mb in zip(a, b):
             np.testing.assert_array_equal(ma, mb)
 
     def test_members_differ_with_enough_missingness(self):
@@ -95,10 +100,8 @@ class TestEnsemble:
             col[i] = None
         ds = make_dataset({"v": col})
         aug = make_completeness_indicators(ds)
-        ens = make_ensemble(aug, k=5, master_seed=3)
-        assert any(
-            not np.array_equal(m, ens.members[0]) for m in ens.members[1:]
-        )
+        members = ensemble(aug, k=5, master_seed=3)
+        assert any(not np.array_equal(m, members[0]) for m in members[1:])
 
     def test_seed_split_rule(self):
         assert split_seed(0, 1) == 0x9E3779B97F4A7C15

@@ -105,9 +105,3 @@ def test_incomplete_matrix_rejected():
     with pytest.raises(ContractError, match="complete"):
         nonparanormal_transform(m)
 
-
-def test_ranks_kept_for_audit(rng):
-    x = rng.normal(size=(50, 2))
-    t = nonparanormal_transform(x)
-    assert t.ranks.shape == x.shape
-    np.testing.assert_array_equal(t.ranks[:, 0], stats.rankdata(x[:, 0]))

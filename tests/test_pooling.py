@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import missgraph.pipeline
 from missgraph import (
     AnalysisConfig,
     ContractError,
@@ -22,25 +23,19 @@ from missgraph import (
 from missgraph.ggm import PrecisionFit
 from missgraph.simulate import MechanismSpec
 
+from .conftest import make_dataset
+
 
 def pool_oracle(rhos):
     """Independent scalar evaluation with the math module."""
     return math.tanh(sum(math.atanh(r) for r in rhos) / len(rhos))
 
 
-def make_fit(rho_matrix, n=500, lam=0.1, support=None):
+def make_fit(rho_matrix, n=500, support=None):
     rho = np.asarray(rho_matrix, dtype=float)
     p = rho.shape[0]
-    theta = np.eye(p) if support is None else np.asarray(support, dtype=float)
-    return PrecisionFit(
-        lam=lam,
-        sigma_hat=np.eye(p),
-        theta_hat=theta,
-        t_hat=np.eye(p),
-        partial_corr=rho,
-        edge_sd=np.ones((p, p)),
-        n=n,
-    )
+    support = np.zeros((p, p), dtype=bool) if support is None else support
+    return PrecisionFit(partial_corr=rho, support=np.asarray(support), n=n)
 
 
 def two_var_fits(rhos, n=500):
@@ -86,9 +81,9 @@ class TestFisherPooling:
     def test_support_count(self):
         fits = [
             make_fit([[1.0, 0.2], [0.2, 1.0]],
-                     support=[[1.0, 0.5], [0.5, 1.0]]),
+                     support=[[False, True], [True, False]]),
             make_fit([[1.0, 0.2], [0.2, 1.0]],
-                     support=[[1.0, 0.0], [0.0, 1.0]]),
+                     support=[[False, False], [False, False]]),
         ]
         table = pool_partial_correlations(fits)
         assert table.support_count[0, 1] == 1
@@ -125,6 +120,24 @@ class TestEdgePValues:
         table = pool_partial_correlations(two_var_fits([0.1], n=4))
         with pytest.raises(ContractError, match="n > p_vars"):
             edge_p_values(table, n=4, p_vars=2)
+
+    def test_too_few_rows_fail_before_any_fit(self, rng, monkeypatch):
+        # n=40 with 30 partly missing variables gives 60 augmented columns
+        values = rng.standard_normal((40, 30))
+        values[rng.random((40, 30)) < 0.3] = np.nan
+        ds = make_dataset(
+            {f"v{j}": [None if np.isnan(v) else v for v in values[:, j]]
+             for j in range(30)}
+        )
+        calls = []
+        monkeypatch.setattr(
+            missgraph.pipeline, "fit_precision", lambda *a: calls.append(a)
+        )
+        with pytest.raises(ContractError, match="n > p_vars") as info:
+            analyze_dataset(ds, AnalysisConfig(n_imputations=25))
+        assert "p_vars=60" in str(info.value)
+        assert info.value.stage == "augment"
+        assert calls == []
 
     def test_dof_shrinks_p_for_fixed_rho(self):
         base = pool_partial_correlations(two_var_fits([0.2], n=1000))
