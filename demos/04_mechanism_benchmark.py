@@ -19,12 +19,14 @@ names = ["target", "covariate"]
 
 truths = []
 for rep in range(5):
-    for spec in (
-        MechanismSpec(kind="MCAR", target="target", rate=0.3),
-        MechanismSpec(kind="MNAR", target="target", rate=0.3, slope=1.5),
+    for offset, spec in enumerate(
+        (
+            MechanismSpec(kind="MCAR", target="target", rate=0.3),
+            MechanismSpec(kind="MNAR", target="target", rate=0.3, slope=1.5),
+        )
     ):
         _, truth = simulate_dataset(
-            prec, n=2000, names=names, specs=[spec], seed=1000 * rep + hash(spec.kind) % 97
+            prec, n=2000, names=names, specs=[spec], seed=1000 * rep + offset
         )
         truths.append(truth)
 

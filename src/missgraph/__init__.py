@@ -68,7 +68,6 @@ from .simulate import (
     GroundTruth,
     MechanismKind,
     MechanismSpec,
-    apply_mechanism,
     apply_mechanisms,
     ar1_precision,
     generate_gaussian,
@@ -106,7 +105,6 @@ __all__ = [
     "VarKind",
     "VariableMeta",
     "analyze_dataset",
-    "apply_mechanism",
     "apply_mechanisms",
     "ar1_precision",
     "correlation_matrix",

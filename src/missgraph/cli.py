@@ -15,9 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
-from .dataset import Category, write_csv, write_matrix_csv
+from .dataset import write_csv, write_matrix_csv
 from .errors import (
     ConfigError,
     MissgraphError,
@@ -27,7 +25,7 @@ from .errors import (
 )
 from .pipeline import AnalysisConfig, run_analysis
 from .report import EXPORT_FORMATS, AnalysisReport, export_graph
-from .simulate import MechanismSpec, ar1_precision, simulate_dataset
+from .simulate import simulate_spec
 
 ENV_OUTDIR = "MISSGRAPH_OUTDIR"
 
@@ -88,16 +86,13 @@ def _default_outdir(flag_value: Path | None) -> Path:
     )
 
 
-def _load_config_file(path: Path) -> dict:
+def _read_json(path: Path, what: str):
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return raw
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
@@ -106,7 +101,9 @@ def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
     Every ``analyze`` flag stores into the ``AnalysisConfig`` field of the
     same name, which is also its config-file key.
     """
-    merged = _load_config_file(args.config) if args.config is not None else {}
+    merged = _read_json(args.config, "config file") if args.config is not None else {}
+    if not isinstance(merged, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object")
     for f in fields(AnalysisConfig):
         if getattr(args, f.name) is not None:
             merged[f.name] = getattr(args, f.name)
@@ -128,56 +125,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _precision_from_spec(spec: dict) -> np.ndarray:
-    prec = spec.get("precision")
-    if prec is None:
-        raise ConfigError("simulate spec: missing 'precision'")
-    if isinstance(prec, list):
-        return np.asarray(prec, dtype=float)
-    if isinstance(prec, dict):
-        kind = prec.get("type")
-        if kind == "identity":
-            return np.eye(int(prec["p"]))
-        if kind == "ar1":
-            return ar1_precision(int(prec["p"]), float(prec["rho"]))
-        raise ConfigError(
-            f"simulate spec: unknown precision type {kind!r} (identity|ar1)"
-        )
-    raise ConfigError("simulate spec: 'precision' must be a matrix or a template")
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     outdir = _default_outdir(args.out)
-    try:
-        raw = json.loads(args.spec.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read spec file {args.spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"spec file {args.spec} is not valid JSON: {exc}") from exc
-    missing = [key for key in ("n", "names", "precision", "mechanisms") if key not in raw]
-    if missing:
-        raise ConfigError(f"simulate spec: missing field(s): {', '.join(missing)}")
-    precision = _precision_from_spec(raw)
-    names = [str(n) for n in raw["names"]]
-    try:
-        categories = {
-            name: Category(cat) for name, cat in raw.get("categories", {}).items()
-        }
-    except ValueError as exc:
-        raise ConfigError(f"simulate spec: bad category: {exc}") from exc
-    try:
-        specs = [MechanismSpec.from_dict(m) for m in raw["mechanisms"]]
-    except (KeyError, ValueError, MissgraphError) as exc:
-        raise ConfigError(f"simulate spec: bad mechanism entry: {exc}") from exc
+    spec = _read_json(args.spec, "spec file")
     with stage("simulate"):
-        dataset, truth = simulate_dataset(
-            precision,
-            n=int(raw["n"]),
-            names=names,
-            specs=specs,
-            seed=int(raw.get("seed", 0)),
-            categories=categories,
-        )
+        dataset, truth = simulate_spec(spec)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     try:
@@ -190,7 +142,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         written.append(truth_path)
         probs_path = outdir / "probabilities.csv"
-        write_matrix_csv(truth.probabilities, names, probs_path)
+        write_matrix_csv(truth.probabilities, truth.names, probs_path)
         written.append(probs_path)
     except Exception:
         for path in written:
@@ -204,11 +156,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     try:
         report = AnalysisReport.from_json(args.report.read_text(encoding="utf-8"))
+        # Rendering reads every arc and variable field the file may lack.
+        rendered = export_graph(report, args.format)
     except OSError as exc:
         raise ConfigError(f"cannot read report {args.report}: {exc}") from exc
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"report {args.report} is not a valid report: {exc}") from exc
-    rendered = export_graph(report, args.format)
     if args.out is None:
         sys.stdout.write(rendered)
     else:

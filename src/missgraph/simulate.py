@@ -16,14 +16,17 @@ be scored against what actually generated the data.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit, logit
 
+from .augment import indicator_name
 from .dataset import Category, Dataset, VariableMeta
-from .errors import ContractError
+from .errors import ConfigError, ContractError, MissgraphError
 from .impute import split_seed
+from .pipeline import AnalysisConfig, analyze_dataset, read_dataclass
 
 
 class MechanismKind(str, enum.Enum):
@@ -58,25 +61,11 @@ class MechanismSpec:
             raise ContractError("slope must be finite")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "target": self.target,
-            "rate": self.rate,
-            "driver": self.driver,
-            "slope": self.slope,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MechanismSpec":
-        return cls(
-            kind=MechanismKind(d["kind"]),
-            target=d["target"],
-            rate=float(d["rate"]),
-            driver=d.get("driver"),
-            slope=float(d.get("slope", 0.0)),
-            seed=int(d.get("seed", 0)),
-        )
+        return read_dataclass(cls, d, "mechanism")
 
 
 @dataclass(frozen=True)
@@ -89,12 +78,10 @@ class GroundTruth:
     names: tuple[str, ...]
     n: int
     seed: int
-    latent: np.ndarray | None = field(default=None, repr=False)
+    latent: np.ndarray = field(repr=False)
 
     def expected_arcs(self) -> set[tuple[str, str]]:
         """(observation, completeness-parent) pairs the mechanisms imply."""
-        from .augment import indicator_name
-
         arcs = set()
         for spec in self.specs:
             comp = indicator_name(spec.target)
@@ -115,26 +102,59 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundTruth":
-        specs = tuple(MechanismSpec.from_dict(s) for s in d["mechanisms"])
-        precision = np.asarray(d["precision"], dtype=float)
-        names = tuple(d["names"])
-        n = int(d["n"])
-        seed = int(d["seed"])
-        latent = generate_gaussian(precision, n, split_seed(seed, 1))
-        probabilities = _probability_matrix(latent, names, specs)
-        return cls(
-            precision=precision,
-            specs=specs,
-            probabilities=probabilities,
-            names=names,
-            n=n,
-            seed=seed,
-            latent=latent,
+        """The truth of ``simulate_spec(d)``: ``to_dict`` output is a spec."""
+        return simulate_spec(d)[1]
+
+
+@dataclass(frozen=True)
+class _PrecisionTemplate:
+    """``{"type": "identity", "p": k}`` or ``{"type": "ar1", "p": k, "rho": r}``."""
+
+    type: str
+    p: int
+    rho: float | None = None
+
+    def matrix(self) -> np.ndarray:
+        if self.p < 1:
+            raise ContractError(f"precision template needs p >= 1, got {self.p}")
+        if self.type == "identity":
+            return np.eye(self.p)
+        if self.type == "ar1" and self.rho is not None:
+            return ar1_precision(self.p, self.rho)
+        raise ConfigError(
+            f"precision template must be identity or ar1 with rho, got {self.type!r}"
         )
 
 
+@dataclass(frozen=True)
+class _Spec:
+    """The JSON spec of one simulation; ``GroundTruth.to_dict`` writes one."""
+
+    n: int
+    names: list[str]
+    precision: list[list[float]] | _PrecisionTemplate
+    mechanisms: list[MechanismSpec]
+    seed: int = 0
+    categories: dict[str, Category] = field(default_factory=dict)
+
+
+def simulate_spec(spec: dict) -> tuple[Dataset, GroundTruth]:
+    """Simulate a parsed JSON spec; a malformed one is a ConfigError, a value
+    :func:`simulate_dataset` rejects (such as n < 1) a ContractError."""
+    s = read_dataclass(_Spec, spec, "spec")
+    precision = s.precision
+    if isinstance(precision, _PrecisionTemplate):
+        precision = precision.matrix()
+    return simulate_dataset(
+        precision, s.n, s.names, s.mechanisms, s.seed, s.categories
+    )
+
+
 def _require_spd(precision: np.ndarray) -> np.ndarray:
-    m = np.asarray(precision, dtype=float)
+    try:
+        m = np.asarray(precision, dtype=float)
+    except ValueError:
+        raise ContractError("precision matrix must be a numeric matrix") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractError("precision matrix must be square")
     if not np.allclose(m, m.T, atol=1e-10):
@@ -152,8 +172,8 @@ def generate_gaussian(precision: np.ndarray, n: int, seed: int) -> np.ndarray:
     cov = np.linalg.inv(m)
     cov = (cov + cov.T) / 2.0
     chol = np.linalg.cholesky(cov)
-    rng = np.random.default_rng(int(seed))
-    return rng.standard_normal((int(n), m.shape[0])) @ chol.T
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, m.shape[0])) @ chol.T
 
 
 def ar1_precision(p: int, rho: float) -> np.ndarray:
@@ -172,60 +192,43 @@ def ar1_precision(p: int, rho: float) -> np.ndarray:
 def _probability_column(
     latent: np.ndarray, names: tuple[str, ...], spec: MechanismSpec
 ) -> np.ndarray:
-    name_list = list(names)
-    if spec.target not in name_list:
+    if spec.target not in names:
         raise ContractError(f"mechanism target {spec.target!r} not in variables")
     if spec.kind is MechanismKind.MCAR:
         return np.full(latent.shape[0], spec.rate)
-    if spec.kind is MechanismKind.MAR:
-        if spec.driver not in name_list:
-            raise ContractError(f"mechanism driver {spec.driver!r} not in variables")
-        driver = latent[:, name_list.index(spec.driver)]
-        return expit(logit(spec.rate) + spec.slope * driver)
-    target = latent[:, name_list.index(spec.target)]
-    return expit(logit(spec.rate) + spec.slope * target)
+    if spec.driver is not None and spec.driver not in names:
+        raise ContractError(f"mechanism driver {spec.driver!r} not in variables")
+    source = latent[:, names.index(spec.driver or spec.target)]
+    return expit(logit(spec.rate) + spec.slope * source)
 
 
 def _probability_matrix(
     latent: np.ndarray, names: tuple[str, ...], specs: tuple[MechanismSpec, ...]
 ) -> np.ndarray:
+    targets = [s.target for s in specs]
+    if len(set(targets)) != len(targets):
+        raise ContractError("each target may carry at most one mechanism")
     probs = np.zeros_like(latent)
-    name_list = list(names)
     for spec in specs:
-        probs[:, name_list.index(spec.target)] = _probability_column(
+        probs[:, names.index(spec.target)] = _probability_column(
             latent, names, spec
         )
     return probs
 
 
-def apply_mechanism(
-    matrix: np.ndarray,
-    names: list[str] | tuple[str, ...],
-    spec: MechanismSpec,
+def _mask(
+    latent: np.ndarray,
+    names: tuple[str, ...],
+    specs: tuple[MechanismSpec, ...] | list[MechanismSpec],
+    probs: np.ndarray,
     categories: dict[str, Category] | None = None,
 ) -> Dataset:
-    """Mask the target column of a complete matrix according to one mechanism."""
-    return apply_mechanisms(matrix, names, [spec], categories)
-
-
-def apply_mechanisms(
-    matrix: np.ndarray,
-    names: list[str] | tuple[str, ...],
-    specs: list[MechanismSpec] | tuple[MechanismSpec, ...],
-    categories: dict[str, Category] | None = None,
-) -> Dataset:
-    """Mask several target columns, one mechanism per target."""
-    latent = np.asarray(matrix, dtype=float)
-    names = tuple(names)
-    targets = [s.target for s in specs]
-    if len(set(targets)) != len(targets):
-        raise ContractError("each target may carry at most one mechanism")
+    """Hide the cells of ``latent`` that each spec's seeded draw marks missing."""
     mask = np.ones(latent.shape, dtype=bool)
     for spec in specs:
-        probs = _probability_column(latent, names, spec)
-        rng = np.random.default_rng(int(spec.seed))
-        missing = rng.random(latent.shape[0]) < probs
-        mask[:, list(names).index(spec.target)] = ~missing
+        j = names.index(spec.target)
+        rng = np.random.default_rng(spec.seed)
+        mask[:, j] = ~(rng.random(latent.shape[0]) < probs[:, j])
     values = latent.copy()
     values[~mask] = np.nan
     categories = categories or {}
@@ -234,6 +237,20 @@ def apply_mechanisms(
         for name in names
     )
     return Dataset(metas=metas, values=values, mask=mask)
+
+
+def apply_mechanisms(
+    matrix: np.ndarray,
+    names: list[str] | tuple[str, ...],
+    specs: list[MechanismSpec] | tuple[MechanismSpec, ...],
+    categories: dict[str, Category] | None = None,
+) -> Dataset:
+    """Mask several target columns of a complete matrix, one mechanism per target."""
+    latent = np.asarray(matrix, dtype=float)
+    names = tuple(names)
+    return _mask(
+        latent, names, specs, _probability_matrix(latent, names, specs), categories
+    )
 
 
 def simulate_dataset(
@@ -251,44 +268,34 @@ def simulate_dataset(
     seed of its own.
     """
     names = tuple(names)
+    if n < 1:
+        raise ContractError(f"n must be >= 1, got {n}")
+    if len(set(names)) != len(names):
+        raise ContractError("variable names must be unique")
     precision = _require_spd(precision)
     if len(names) != precision.shape[0]:
         raise ContractError("one name per precision row required")
     latent = generate_gaussian(precision, n, split_seed(seed, 1))
     seeded = tuple(
-        spec
-        if spec.seed
-        else MechanismSpec(
-            kind=spec.kind,
-            target=spec.target,
-            rate=spec.rate,
-            driver=spec.driver,
-            slope=spec.slope,
-            seed=split_seed(seed, 2 + i),
-        )
+        spec if spec.seed else replace(spec, seed=split_seed(seed, 2 + i))
         for i, spec in enumerate(specs)
     )
-    dataset = apply_mechanisms(latent, names, seeded, categories)
     truth = GroundTruth(
         precision=precision,
         specs=seeded,
         probabilities=_probability_matrix(latent, names, seeded),
         names=names,
-        n=int(n),
-        seed=int(seed),
+        n=n,
+        seed=seed,
         latent=latent,
     )
+    dataset = _mask(latent, names, seeded, truth.probabilities, categories)
     return dataset, truth
 
 
 def regenerate_dataset(truth: GroundTruth) -> Dataset:
     """Rebuild the masked dataset a GroundTruth describes, bit-identically."""
-    latent = (
-        truth.latent
-        if truth.latent is not None
-        else generate_gaussian(truth.precision, truth.n, split_seed(truth.seed, 1))
-    )
-    return apply_mechanisms(latent, truth.names, truth.specs)
+    return _mask(truth.latent, truth.names, truth.specs, truth.probabilities)
 
 
 def run_benchmark(truths: list[GroundTruth], config=None) -> dict:
@@ -307,37 +314,15 @@ def run_benchmark(truths: list[GroundTruth], config=None) -> dict:
     - every kind: ``false_arc_rate``, the share of observation/indicator
       pairs flagged although no mechanism implies them.
     """
-    from .augment import indicator_name
-    from .errors import MissgraphError
-    from .pipeline import AnalysisConfig, analyze_dataset
-
     if not truths:
         raise ContractError("benchmark needs at least one replicate")
     config = config or AnalysisConfig()
-    counters: dict[str, dict[str, float]] = {}
-
-    def bucket(kind: str) -> dict[str, float]:
-        return counters.setdefault(
-            kind,
-            {
-                "replicates": 0,
-                "errors": 0,
-                "mnar_self_hits": 0,
-                "mar_self_hits": 0,
-                "driver_arc_hits": 0,
-                "witness_hits": 0,
-                "mnar_targets": 0,
-                "mar_targets": 0,
-                "false_arcs": 0,
-                "mixed_pairs": 0,
-            },
-        )
-
+    counters: defaultdict[str, Counter] = defaultdict(Counter)
     failures: list[str] = []
     for truth in truths:
         kinds = sorted({s.kind.value for s in truth.specs})
         label = "+".join(kinds) if kinds else "none"
-        stats = bucket(label)
+        stats = counters[label]
         stats["replicates"] += 1
         try:
             dataset = regenerate_dataset(truth)
@@ -376,8 +361,8 @@ def run_benchmark(truths: list[GroundTruth], config=None) -> dict:
     summary: dict[str, dict] = {}
     for label, s in counters.items():
         entry: dict[str, float] = {
-            "replicates": int(s["replicates"]),
-            "errors": int(s["errors"]),
+            "replicates": s["replicates"],
+            "errors": s["errors"],
         }
         if s["mnar_targets"]:
             entry["self_arc_power"] = s["mnar_self_hits"] / s["mnar_targets"]

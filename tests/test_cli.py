@@ -323,6 +323,91 @@ class TestSimulate:
         message = json.loads(err.strip().splitlines()[-1])["message"]
         assert "names" in message and "precision" in message and "mechanisms" in message
 
+    def test_truth_json_is_a_spec(self, tmp_path, capsys):
+        spec = self.spec_file(
+            tmp_path,
+            [
+                {"kind": "MNAR", "target": "a", "rate": 0.3, "slope": 1.5},
+                {"kind": "MCAR", "target": "b", "rate": 0.2, "seed": 99},
+            ],
+            n=300,
+        )
+        first, second = tmp_path / "first", tmp_path / "second"
+        code, _, _ = run(["simulate", "--spec", str(spec), "--out", str(first)], capsys)
+        assert code == 0
+        code, _, _ = run(
+            ["simulate", "--spec", str(first / "truth.json"), "--out", str(second)],
+            capsys,
+        )
+        assert code == 0
+        for name in ("dataset.csv", "truth.json", "probabilities.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    MALFORMED = {
+        "n_string": {"n": "abc"},
+        "n_float": {"n": 200.7},
+        "seed_float": {"seed": 1.7},
+        "names_string": {"names": "ab"},
+        "matrix_row_not_a_list": {"precision": [[1.0, 0.0], 1.0]},
+        "template_without_p": {"precision": {"type": "identity"}},
+        "categories_list": {"categories": ["Other"]},
+        "unknown_category": {"categories": {"a": "Lab"}},
+        "mechanism_not_object": {"mechanisms": [5]},
+        "rate_string": {"mechanisms": [{"kind": "MCAR", "target": "a", "rate": "0.3"}]},
+        "mechanism_typo": {
+            "mechanisms": [{"kind": "MNAR", "target": "a", "rate": 0.3, "sloep": 1.5}]
+        },
+        "unknown_kind": {"mechanisms": [{"kind": "MBAR", "target": "a", "rate": 0.3}]},
+        "unknown_spec_key": {"sed": 3},
+        "top_level_not_object": None,
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_spec_is_config_error(self, case, tmp_path, capsys):
+        path = self.spec_file(
+            tmp_path, [{"kind": "MCAR", "target": "a", "rate": 0.3}], n=50
+        )
+        patch = self.MALFORMED[case]
+        spec = [1, 2] if patch is None else {**json.loads(path.read_text()), **patch}
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        code, _, err = run(["simulate", "--spec", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["kind"] == "config"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"n": 0},
+            {"n": -5},
+            {"names": ["a", "a"]},
+            {"precision": [[1.0, 0.0], [0.0]]},
+            {"precision": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+            {"precision": {"type": "identity", "p": -1}},
+            {"mechanisms": [{"kind": "MCAR", "target": "a", "rate": 1.5}]},
+        ],
+        ids=[
+            "n_zero", "n_negative", "duplicate_names", "ragged", "non_square",
+            "negative_p", "rate_out_of_range",
+        ],
+    )
+    def test_bad_spec_value_is_numeric_error(self, patch, tmp_path, capsys):
+        path = self.spec_file(
+            tmp_path, [{"kind": "MCAR", "target": "a", "rate": 0.3}], n=50
+        )
+        path.write_text(json.dumps({**json.loads(path.read_text()), **patch}))
+        out = tmp_path / "out"
+        code, _, err = run(["simulate", "--spec", str(path), "--out", str(out)], capsys)
+        assert code == 4
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["kind"], payload["stage"]) == ("numeric", "simulate")
+        assert not out.exists()
+
     def test_simulated_dataset_feeds_analyze(self, tmp_path, capsys):
         spec = self.spec_file(
             tmp_path,
@@ -409,6 +494,37 @@ class TestExport:
         )
         assert code == 0
         assert target.read_text().startswith("graph missingness {")
+
+    @pytest.mark.parametrize(
+        "fmt, damage",
+        [
+            ("dot", lambda r: r["arcs"][0].pop("sign")),
+            ("csv", lambda r: r["arcs"][0].pop("counterpart_rho")),
+            ("csv", lambda r: r.update(arcs=5)),
+            ("dot", lambda r: r.update(variables=[1])),
+        ],
+        ids=[
+            "arc_without_sign",
+            "arc_without_counterpart_rho",
+            "arcs_number",
+            "variables_numbers",
+        ],
+    )
+    def test_malformed_report_is_config_error(
+        self, fmt, damage, mnar_run, tmp_path, capsys
+    ):
+        report = json.loads(self.report_path(mnar_run).read_text())
+        damage(report)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        code, out, err = run(["export", "--report", str(path), "--format", fmt], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["kind"] == "config"
+        assert "is not a valid report" in payload["message"]
 
     def test_unknown_format_is_usage_error(self, mnar_run, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -15,6 +15,6 @@ def test_star_import():
 
 
 def test_removed_names_absent():
-    for name in ("make_ensemble", "ImputationEnsemble"):
+    for name in ("make_ensemble", "ImputationEnsemble", "apply_mechanism"):
         assert name not in missgraph.__all__
         assert not hasattr(missgraph, name)

@@ -7,7 +7,7 @@ from missgraph import (
     GroundTruth,
     MechanismKind,
     MechanismSpec,
-    apply_mechanism,
+    apply_mechanisms,
     ar1_precision,
     generate_gaussian,
     indicator_name,
@@ -62,7 +62,7 @@ class TestMechanisms:
     def test_mcar_rate_concentrates(self):
         x = generate_gaussian(np.eye(2), 10_000, seed=1)
         spec = MechanismSpec(kind="MCAR", target="a", rate=0.3, seed=7)
-        ds = apply_mechanism(x, ["a", "b"], spec)
+        ds = apply_mechanisms(x, ["a", "b"], [spec])
         missing = 1.0 - ds.mask[:, 0].mean()
         assert missing == pytest.approx(0.3, abs=0.02)
         assert ds.mask[:, 1].all()
@@ -82,7 +82,7 @@ class TestMechanisms:
     def test_mnar_selects_low_values_when_slope_positive(self):
         x = generate_gaussian(np.eye(1), 20_000, seed=4)
         spec = MechanismSpec(kind="MNAR", target="a", rate=0.3, slope=1.5, seed=3)
-        ds = apply_mechanism(x, ["a"], spec)
+        ds = apply_mechanisms(x, ["a"], [spec])
         observed_mean = ds.values[ds.mask[:, 0], 0].mean()
         assert observed_mean < x[:, 0].mean()
 
@@ -104,7 +104,7 @@ class TestMechanisms:
         x = np.zeros((10, 1))
         spec = MechanismSpec(kind="MCAR", target="nope", rate=0.2)
         with pytest.raises(ContractError, match="target"):
-            apply_mechanism(x, ["a"], spec)
+            apply_mechanisms(x, ["a"], [spec])
 
 
 class TestSimulateDataset:
@@ -124,6 +124,22 @@ class TestSimulateDataset:
         _, truth = simulate_dataset(prec, 100, ["a", "b"], specs, seed=0)
         np.testing.assert_array_equal(truth.probabilities[:, 0], 0.4)
         np.testing.assert_array_equal(truth.probabilities[:, 1], 0.0)
+
+    @pytest.mark.parametrize(
+        "n, names, precision, message",
+        [
+            (0, ["a", "b"], np.eye(2), "n must be"),
+            (-5, ["a", "b"], np.eye(2), "n must be"),
+            (10, ["a", "a"], np.eye(2), "unique"),
+            (10, ["a", "b"], [[1.0, 0.0], [0.0]], "numeric matrix"),
+            (10, ["a", "b"], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "square"),
+        ],
+        ids=["n_zero", "n_negative", "duplicate_names", "ragged", "non_square"],
+    )
+    def test_bad_values_are_contract_errors(self, n, names, precision, message):
+        specs = [MechanismSpec(kind="MCAR", target="a", rate=0.3)]
+        with pytest.raises(ContractError, match=message):
+            simulate_dataset(precision, n, names, specs, seed=1)
 
     def test_expected_arcs(self):
         specs = [
@@ -162,6 +178,54 @@ class TestBenchmark:
         assert out["mechanisms"]["MNAR"]["self_arc_power"] == 1.0
         assert out["mechanisms"]["MNAR"]["witness_rate"] == 1.0
         assert out["failures"] == []
+
+    @pytest.fixture(scope="class")
+    def mixed_batch(self):
+        # corr(a, w) = 0.6; z is independent of both and drives the MAR masks
+        cov = np.array([[1.0, 0.6, 0.0], [0.6, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        prec = np.linalg.inv(cov)
+        batches = (
+            [MechanismSpec(kind="MAR", target="a", driver="z", rate=0.3, slope=1.5)],
+            [MechanismSpec(kind="MCAR", target="a", rate=0.3)],
+            [
+                MechanismSpec(kind="MNAR", target="a", rate=0.3, slope=1.5),
+                MechanismSpec(kind="MAR", target="w", driver="z", rate=0.2, slope=1.5),
+            ],
+        )
+        truths = [
+            simulate_dataset(prec, 5000, ["a", "w", "z"], specs, seed=200 + rep)[1]
+            for rep in range(2)
+            for specs in batches
+        ]
+        return run_benchmark(truths, AnalysisConfig(n_imputations=2, seed=1))
+
+    def test_mar_bucket(self, mixed_batch):
+        assert mixed_batch["mechanisms"]["MAR"] == {
+            "replicates": 2,
+            "errors": 0,
+            "driver_arc_power": 1.0,
+            "self_arc_rate": 0.0,
+            "false_arc_rate": 0.0,
+        }
+
+    def test_mcar_bucket(self, mixed_batch):
+        assert mixed_batch["mechanisms"]["MCAR"] == {
+            "replicates": 2,
+            "errors": 0,
+            "false_arc_rate": 0.0,
+        }
+
+    def test_mixed_label_scores_both_kinds(self, mixed_batch):
+        mixed = mixed_batch["mechanisms"]["MAR+MNAR"]
+        assert mixed["replicates"] == 2 and mixed["errors"] == 0
+        assert mixed["self_arc_power"] == 1.0
+        assert mixed["witness_rate"] == 1.0
+        assert mixed["driver_arc_power"] == 1.0
+        assert mixed["self_arc_rate"] == 0.0
+        # 3 observation x 2 indicator columns x 2 replicates = 12 pairs; the
+        # two flagged pairs outside expected_arcs are the (w, a) witness arcs
+        assert mixed["false_arc_rate"] == pytest.approx(2 / 12)
+        assert mixed_batch["failures"] == []
 
     def test_errors_recorded_not_raised(self):
         # 6 rows are below the transform minimum, so the replicate fails;
