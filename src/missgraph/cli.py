@@ -46,8 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--imputations", type=int, dest="n_imputations", help="ensemble size"
     )
     analyze.add_argument("--seed", type=int, help="master seed")
-    analyze.add_argument("--lambda-method", choices=("ric", "fixed"))
-    analyze.add_argument("--lambda-value", type=float)
+    analyze.add_argument(
+        "--lambda-value", type=float, help="fixed penalty (default: permutation null)"
+    )
     analyze.add_argument("--n-rotations", type=int)
     analyze.add_argument("--out", type=Path, help="output directory")
     analyze.add_argument(

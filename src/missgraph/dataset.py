@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -116,10 +116,6 @@ class Dataset:
     @property
     def names(self) -> list[str]:
         return [m.name for m in self.metas]
-
-    def columns(self) -> Iterator[tuple[VariableMeta, np.ndarray]]:
-        for j, meta in enumerate(self.metas):
-            yield meta, self.values[:, j]
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.index(name)]

@@ -123,13 +123,7 @@ def duality_gap(sigma_hat: np.ndarray, theta: np.ndarray, lam: float) -> float:
     return float(np.sum(sigma_hat * theta) - theta.shape[0] + lam * off_l1)
 
 
-def glasso_fit(
-    sigma_hat: np.ndarray,
-    lam: float,
-    max_sweeps: int = MAX_SWEEPS,
-    w_tol: float = W_TOL,
-    gap_tol: float = GAP_TOL,
-) -> np.ndarray:
+def glasso_fit(sigma_hat: np.ndarray, lam: float) -> np.ndarray:
     """Solve the off-diagonal-penalized sparse precision problem.
 
     Parameters
@@ -144,12 +138,12 @@ def glasso_fit(
         zeros off the selected support.  On return the KKT system holds: for
         W = theta_hat^{-1}, |W_ij - sigma_hat_ij| <= lam off the support and
         W_ij - sigma_hat_ij = lam * sign(theta_ij) on it, and the duality gap
-        is below ``gap_tol``.
+        is below ``GAP_TOL``.
 
     Raises
     ------
     ContractError for asymmetric input or lam < 0;
-    ConvergenceError if the sweep budget is exhausted.
+    ConvergenceError if ``MAX_SWEEPS`` sweeps do not converge.
     """
     sigma = np.asarray(sigma_hat, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -175,7 +169,7 @@ def glasso_fit(
     others = [np.array([i for i in range(p) if i != j]) for j in range(p)]
     converged = False
     gap = np.inf
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         w_prev = w.copy()
         for j in range(p):
             idx = others[j]
@@ -187,15 +181,15 @@ def glasso_fit(
             w[idx, j] = w12
             w[j, idx] = w12
         delta = np.abs(w - w_prev).max()
-        if delta < w_tol:
+        if delta < W_TOL:
             theta = _invert_spd(w)
             gap = duality_gap(sigma, theta, lam)
-            if gap <= gap_tol:
+            if gap <= GAP_TOL:
                 converged = True
                 break
     if not converged:
         raise ConvergenceError(
-            f"graphical lasso did not converge within {max_sweeps} sweeps",
+            f"graphical lasso did not converge within {MAX_SWEEPS} sweeps",
             residual=gap if np.isfinite(gap) else None,
         )
     # Exact zeros: an off-diagonal entry is active only if either of the two

@@ -65,8 +65,7 @@ class AnalysisConfig:
     alpha: float = 0.01
     n_imputations: int = 25
     seed: int = 0
-    lambda_method: str = "ric"  # "ric" | "fixed"
-    lambda_value: float | None = None
+    lambda_value: float | None = None  # None: permutation null per member
     n_rotations: int = 20
     out: Path | None = None
     na_tokens: frozenset[str] = DEFAULT_NA_TOKENS
@@ -79,15 +78,10 @@ class AnalysisConfig:
             raise ConfigError(
                 f"n_imputations must be >= 1, got {self.n_imputations}"
             )
-        if self.lambda_method not in ("ric", "fixed"):
+        if self.lambda_value is not None and self.lambda_value < 0:
             raise ConfigError(
-                f"lambda_method must be 'ric' or 'fixed', got {self.lambda_method!r}"
+                f"lambda_value must be >= 0, got {self.lambda_value}"
             )
-        if self.lambda_method == "fixed":
-            if self.lambda_value is None or self.lambda_value < 0:
-                raise ConfigError(
-                    "lambda_method 'fixed' needs a non-negative lambda_value"
-                )
         if self.n_rotations < 1:
             raise ConfigError(f"n_rotations must be >= 1, got {self.n_rotations}")
 
@@ -227,7 +221,7 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
             members.append(member)
         with stage("transform"):
             transformed = nonparanormal_transform(member, names)
-        if config.lambda_method == "ric":
+        if config.lambda_value is None:
             with stage("select_lambda"):
                 lam = select_lambda_ric(
                     transformed,
@@ -297,7 +291,6 @@ def _build_report(
                 "pooled_rho": float(table.pooled_rho[i, j]),
                 "p_value": float(table.p_value[i, j]),
                 "support_count": int(table.support_count[i, j]),
-                "member_rhos": [float(r) for r in table.member_rho[:, i, j]],
             }
         )
     arc_dicts = [

@@ -28,14 +28,12 @@ from .ggm import PrecisionFit
 class PooledEdgeTable:
     """Pooled partial correlations for every unordered variable pair.
 
-    ``member_rho`` stacks the per-member matrices (K, p, p); ``pooled_rho``
-    is their Fisher-z mean; ``support_count`` counts members whose sparse
-    precision kept the pair; ``p_value`` is filled in by
-    :func:`edge_p_values`.
+    ``pooled_rho`` is the Fisher-z mean of the member partial correlations;
+    ``support_count`` counts members whose sparse precision kept the pair;
+    ``p_value`` is filled in by :func:`edge_p_values`.
     """
 
     metas: tuple[VariableMeta, ...]
-    member_rho: np.ndarray
     pooled_rho: np.ndarray
     support_count: np.ndarray
     n: int
@@ -99,13 +97,13 @@ class MnarFinding:
     witnesses: tuple[str, ...]
 
 
-def fisher_pool(member_rho: np.ndarray) -> np.ndarray:
-    """tanh of the member-wise mean of atanh, entry by entry.
+def fisher_pool(rhos: np.ndarray) -> np.ndarray:
+    """tanh of the mean of atanh over axis 0 (the members), entry by entry.
 
     Entries at exactly +-1 (e.g. the unit diagonal) pool to +-1.
     """
     with np.errstate(divide="ignore"):
-        return np.tanh(np.mean(np.arctanh(member_rho), axis=0))
+        return np.tanh(np.mean(np.arctanh(rhos), axis=0))
 
 
 def pool_partial_correlations(
@@ -136,7 +134,6 @@ def pool_partial_correlations(
         metas = tuple(VariableMeta(name=f"var{i}") for i in range(p))
     return PooledEdgeTable(
         metas=tuple(metas),
-        member_rho=member,
         pooled_rho=pooled,
         support_count=support_count,
         n=n,
@@ -152,21 +149,17 @@ def require_fisher_dof(n: int, p_vars: int) -> None:
         )
 
 
-def edge_p_values(
-    table: PooledEdgeTable, n: int | None = None, p_vars: int | None = None
-) -> PooledEdgeTable:
+def edge_p_values(table: PooledEdgeTable) -> PooledEdgeTable:
     """Attach two-sided p-values to every pair of the pooled table.
 
     The z statistic treats all remaining p_vars - 2 variables as conditioned
     on, so the effective degrees of freedom are n - (p_vars - 2) - 3.
     """
-    n = table.n if n is None else n
-    p_vars = table.pooled_rho.shape[0] if p_vars is None else p_vars
-    require_fisher_dof(n, p_vars)
-    dof = n - (p_vars - 2) - 3
-    dim = table.pooled_rho.shape[0]
-    z = np.arctanh(table.pooled_rho, where=~np.eye(dim, dtype=bool),
-                   out=np.zeros((dim, dim))) * math.sqrt(dof)
+    p_vars = table.p_vars
+    require_fisher_dof(table.n, p_vars)
+    dof = table.n - (p_vars - 2) - 3
+    z = np.arctanh(table.pooled_rho, where=~np.eye(p_vars, dtype=bool),
+                   out=np.zeros((p_vars, p_vars))) * math.sqrt(dof)
     p = 2.0 * stats.norm.sf(np.abs(z))
     np.fill_diagonal(p, 1.0)
     return replace(table, p_value=p)

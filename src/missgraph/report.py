@@ -18,6 +18,16 @@ from .errors import ConfigError
 
 EXPORT_FORMATS = ("dot", "json", "csv")
 
+ARC_FIELDS = (
+    "obs_var",
+    "comp_var",
+    "rho",
+    "p",
+    "sign",
+    "counterpart_rho",
+    "counterpart_p",
+)
+
 ARC_CSV_COLUMNS = (
     "obs_var",
     "comp_var",
@@ -122,7 +132,7 @@ def render_graph_json(report: AnalysisReport) -> str:
             "observation": report.observation_names(),
             "completeness": report.completeness_names(),
         },
-        "edges": report.arcs,
+        "edges": [{key: arc[key] for key in ARC_FIELDS} for arc in report.arcs],
     }
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 

@@ -272,6 +272,9 @@ def simulate_dataset(
         raise ContractError(f"n must be >= 1, got {n}")
     if len(set(names)) != len(names):
         raise ContractError("variable names must be unique")
+    unknown = sorted(set(categories or {}) - set(names))
+    if unknown:
+        raise ContractError(f"categories for unknown variables: {', '.join(unknown)}")
     precision = _require_spd(precision)
     if len(names) != precision.shape[0]:
         raise ContractError("one name per precision row required")

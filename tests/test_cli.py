@@ -3,9 +3,18 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from missgraph import AnalysisReport, export_graph
+import missgraph.ggm
+import missgraph.pipeline
+from missgraph import (
+    AnalysisReport,
+    export_graph,
+    fit_precision,
+    nonparanormal_transform,
+    pool_partial_correlations,
+)
 from missgraph.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -169,6 +178,41 @@ class TestAnalyze:
         assert code == 0
         members = sorted((tmp_path / "out").glob("member_*.csv"))
         assert len(members) == 3
+        # The members and their lambdas give back the pooled table exactly.
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        names = members[0].read_text().splitlines()[0].split(",")
+        fits = [
+            fit_precision(
+                nonparanormal_transform(np.loadtxt(path, delimiter=",", skiprows=1)),
+                lam,
+            )
+            for path, lam in zip(members, report["lambdas"])
+        ]
+        table = pool_partial_correlations(fits)
+        for edge in report["edges"]:
+            i, j = names.index(edge["var_a"]), names.index(edge["var_b"])
+            assert edge["pooled_rho"] == float(table.pooled_rho[i, j])
+            assert edge["support_count"] == int(table.support_count[i, j])
+
+    def test_fixed_lambda_skips_permutation_null(self, tmp_path, capsys, monkeypatch):
+        def no_ric(*args, **kwargs):
+            raise AssertionError("select_lambda_ric called under a fixed lambda")
+
+        monkeypatch.setattr(missgraph.pipeline, "select_lambda_ric", no_ric)
+        code, _, _ = run(
+            [
+                "analyze",
+                "--input", str(DATA / "mnar_example.csv"),
+                "--out", str(tmp_path / "out"),
+                "--imputations", "3",
+                "--lambda-value", "0.05",
+            ],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["lambdas"] == [0.05, 0.05, 0.05]
+        assert report["meta"]["config"]["lambda_value"] == 0.05
 
 
 class TestExitCodes:
@@ -187,6 +231,39 @@ class TestExitCodes:
         assert payload["kind"] == "config"
         assert payload["code"] == 2
 
+    def test_negative_lambda_is_config_error(self, tmp_path, capsys):
+        code, _, err = run(
+            [
+                "analyze",
+                "--input", str(DATA / "mcar_example.csv"),
+                "--out", str(tmp_path / "out"),
+                "--lambda-value", "-0.1",
+            ],
+            capsys,
+        )
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["kind"] == "config"
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_budget_is_convergence_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(missgraph.ggm, "MAX_SWEEPS", 1)
+        code, _, err = run(
+            [
+                "analyze",
+                "--input", str(DATA / "mnar_example.csv"),
+                "--out", str(tmp_path / "out"),
+                "--imputations", "2",
+            ],
+            capsys,
+        )
+        assert code == 5
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["kind"], payload["stage"]) == ("convergence", "fit")
+
     @pytest.mark.parametrize(
         "entry",
         [
@@ -194,6 +271,7 @@ class TestExitCodes:
             {"dump_members": "false"},
             {"na_tokens": "NA"},
             {"seed": 1.7},
+            {"lambda_method": "ric"},
         ],
         ids=lambda entry: next(iter(entry)),
     )
@@ -388,10 +466,11 @@ class TestSimulate:
             {"precision": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
             {"precision": {"type": "identity", "p": -1}},
             {"mechanisms": [{"kind": "MCAR", "target": "a", "rate": 1.5}]},
+            {"categories": {"lactat": "BloodTests"}},
         ],
         ids=[
             "n_zero", "n_negative", "duplicate_names", "ragged", "non_square",
-            "negative_p", "rate_out_of_range",
+            "negative_p", "rate_out_of_range", "unknown_category",
         ],
     )
     def test_bad_spec_value_is_numeric_error(self, patch, tmp_path, capsys):
@@ -502,12 +581,14 @@ class TestExport:
             ("csv", lambda r: r["arcs"][0].pop("counterpart_rho")),
             ("csv", lambda r: r.update(arcs=5)),
             ("dot", lambda r: r.update(variables=[1])),
+            ("json", lambda r: r.update(arcs=5)),
         ],
         ids=[
             "arc_without_sign",
             "arc_without_counterpart_rho",
             "arcs_number",
             "variables_numbers",
+            "arcs_number_json",
         ],
     )
     def test_malformed_report_is_config_error(

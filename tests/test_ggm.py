@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import missgraph.ggm
 from missgraph import (
     ContractError,
+    ConvergenceError,
     DegenerateColumnError,
     correlation_matrix,
     desparsify,
@@ -119,6 +121,11 @@ class TestGlasso:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ContractError, match="non-negative"):
             glasso_fit(np.eye(2), -0.1)
+
+    def test_sweep_budget_exhausted_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(missgraph.ggm, "MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError, match="within 1 sweeps"):
+            glasso_fit(random_correlation(6, rng), 0.1)
 
     def test_singular_matrix_needs_penalty(self):
         ones = np.ones((3, 3))

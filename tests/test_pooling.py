@@ -38,8 +38,14 @@ def make_fit(rho_matrix, n=500, support=None):
     return PrecisionFit(partial_corr=rho, support=np.asarray(support), n=n)
 
 
-def two_var_fits(rhos, n=500):
-    return [make_fit([[1.0, r], [r, 1.0]], n=n) for r in rhos]
+def two_var_fits(rhos, n=500, p=2):
+    """One fit per rho: a p-variable fit whose only nonzero pair is (0, 1)."""
+    fits = []
+    for r in rhos:
+        rho = np.eye(p)
+        rho[0, 1] = rho[1, 0] = r
+        fits.append(make_fit(rho, n=n))
+    return fits
 
 
 class TestFisherPooling:
@@ -112,14 +118,14 @@ class TestEdgePValues:
     def test_large_cohort_scale(self):
         # rho = 0.0542 at n = 12495 with ~46 model variables lands around
         # p ~ 1e-9 (z just above 6)
-        table = pool_partial_correlations(two_var_fits([0.0542], n=12495))
-        table = edge_p_values(table, n=12495, p_vars=46)
+        table = pool_partial_correlations(two_var_fits([0.0542], n=12495, p=46))
+        table = edge_p_values(table)
         assert 1e-10 < table.p_value[0, 1] < 1e-8
 
     def test_insufficient_n_rejected(self):
         table = pool_partial_correlations(two_var_fits([0.1], n=4))
         with pytest.raises(ContractError, match="n > p_vars"):
-            edge_p_values(table, n=4, p_vars=2)
+            edge_p_values(table)
 
     def test_too_few_rows_fail_before_any_fit(self, rng, monkeypatch):
         # n=40 with 30 partly missing variables gives 60 augmented columns
@@ -140,9 +146,10 @@ class TestEdgePValues:
         assert calls == []
 
     def test_dof_shrinks_p_for_fixed_rho(self):
-        base = pool_partial_correlations(two_var_fits([0.2], n=1000))
-        small = edge_p_values(base, n=1000, p_vars=2)
-        large = edge_p_values(base, n=1000, p_vars=500)
+        small = edge_p_values(pool_partial_correlations(two_var_fits([0.2], n=1000)))
+        large = edge_p_values(
+            pool_partial_correlations(two_var_fits([0.2], n=1000, p=500))
+        )
         assert small.p_value[0, 1] < large.p_value[0, 1]
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from missgraph import (
     AnalysisConfig,
+    Category,
     ContractError,
     GroundTruth,
     MechanismKind,
@@ -126,20 +127,26 @@ class TestSimulateDataset:
         np.testing.assert_array_equal(truth.probabilities[:, 1], 0.0)
 
     @pytest.mark.parametrize(
-        "n, names, precision, message",
+        "n, names, precision, categories, message",
         [
-            (0, ["a", "b"], np.eye(2), "n must be"),
-            (-5, ["a", "b"], np.eye(2), "n must be"),
-            (10, ["a", "a"], np.eye(2), "unique"),
-            (10, ["a", "b"], [[1.0, 0.0], [0.0]], "numeric matrix"),
-            (10, ["a", "b"], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "square"),
+            (0, ["a", "b"], np.eye(2), None, "n must be"),
+            (-5, ["a", "b"], np.eye(2), None, "n must be"),
+            (10, ["a", "a"], np.eye(2), None, "unique"),
+            (10, ["a", "b"], [[1.0, 0.0], [0.0]], None, "numeric matrix"),
+            (10, ["a", "b"], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], None, "square"),
+            (10, ["a", "b"], np.eye(2), {"lactat": Category.BLOOD_TESTS}, "lactat"),
         ],
-        ids=["n_zero", "n_negative", "duplicate_names", "ragged", "non_square"],
+        ids=[
+            "n_zero", "n_negative", "duplicate_names", "ragged", "non_square",
+            "unknown_category",
+        ],
     )
-    def test_bad_values_are_contract_errors(self, n, names, precision, message):
+    def test_bad_values_are_contract_errors(
+        self, n, names, precision, categories, message
+    ):
         specs = [MechanismSpec(kind="MCAR", target="a", rate=0.3)]
         with pytest.raises(ContractError, match=message):
-            simulate_dataset(precision, n, names, specs, seed=1)
+            simulate_dataset(precision, n, names, specs, seed=1, categories=categories)
 
     def test_expected_arcs(self):
         specs = [
