@@ -2,7 +2,11 @@
 
 Each replicate generates Gaussian data, hides cells under a known mechanism,
 and replays the full analysis; the summary reports detection power and false
-arc rates per mechanism kind.  Heavier grids just need more replicates.
+arc rates per mechanism kind.  ``false_arc_rate`` counts flagged
+observation/indicator pairs that no mechanism implies: the covariate's arc to
+``target__observed`` under MNAR is a witness (the covariate is a precision
+neighbour of the target) and is not counted.  Heavier grids just need more
+replicates.
 
     python3 demos/04_mechanism_benchmark.py
 """

@@ -1,8 +1,9 @@
 """Command-line interface: ``analyze``, ``simulate`` and ``export``.
 
-Exit codes: 0 ok, 2 config, 3 parse, 4 numeric, 5 convergence.  Every failure
-prints one machine-parsable JSON line on stderr with ``code``, ``kind``,
-``stage`` and ``message`` fields.  The default output directory can be set
+Exit codes: 0 ok, 2 config (an output file that cannot be written included,
+stage ``write``), 3 parse, 4 numeric, 5 convergence.  Every failure prints one
+machine-parsable JSON line on stderr with ``code``, ``kind``, ``stage`` and
+``message`` fields.  The default output directory can be set
 with the ``MISSGRAPH_OUTDIR`` environment variable.
 """
 
@@ -13,16 +14,11 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
-from .dataset import write_csv, write_matrix_csv
-from .errors import (
-    ConfigError,
-    MissgraphError,
-    error_kind,
-    exit_code_for,
-    stage,
-)
+from .dataset import write_csv, write_matrix_csv, write_outputs
+from .errors import ConfigError, MissgraphError, stage
 from .pipeline import AnalysisConfig, run_analysis
 from .report import EXPORT_FORMATS, AnalysisReport, export_graph
 from .simulate import simulate_spec
@@ -131,42 +127,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _read_json(args.spec, "spec file")
     with stage("simulate"):
         dataset, truth = simulate_spec(spec)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
-        data_path = outdir / "dataset.csv"
-        write_csv(dataset, data_path)
-        written.append(data_path)
-        truth_path = outdir / "truth.json"
-        truth_path.write_text(
-            json.dumps(truth.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-        written.append(truth_path)
-        probs_path = outdir / "probabilities.csv"
-        write_matrix_csv(truth.probabilities, truth.names, probs_path)
-        written.append(probs_path)
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    for path in written:
+    for path in write_outputs(
+        outdir,
+        [
+            ("dataset.csv", partial(write_csv, dataset)),
+            ("truth.json", json.dumps(truth.to_dict(), indent=2) + "\n"),
+            (
+                "probabilities.csv",
+                partial(write_matrix_csv, truth.probabilities, truth.names),
+            ),
+        ],
+    ):
         print(f"wrote: {path}")
     return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    report = _read_json(args.report, "report")
     try:
-        report = AnalysisReport.from_json(args.report.read_text(encoding="utf-8"))
         # Rendering reads every arc and variable field the file may lack.
-        rendered = export_graph(report, args.format)
-    except OSError as exc:
-        raise ConfigError(f"cannot read report {args.report}: {exc}") from exc
+        rendered = export_graph(AnalysisReport.from_dict(report), args.format)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"report {args.report} is not a valid report: {exc}") from exc
     if args.out is None:
         sys.stdout.write(rendered)
     else:
-        args.out.write_text(rendered, encoding="utf-8")
+        write_outputs(args.out.parent, [(args.out.name, rendered)])
         print(f"wrote: {args.out}")
     return 0
 
@@ -184,14 +170,14 @@ def main(argv: list[str] | None = None) -> int:
     except MissgraphError as exc:
         line = json.dumps(
             {
-                "code": exit_code_for(exc),
-                "kind": error_kind(exc),
+                "code": exc.exit_code,
+                "kind": exc.kind,
                 "stage": exc.stage or args.command,
                 "message": str(exc),
             }
         )
         print(line, file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

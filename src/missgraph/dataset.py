@@ -13,13 +13,14 @@ import csv
 import enum
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import ConfigError, ParseError, SchemaError, stage
 
 #: Cell texts (after stripping) treated as missing when no explicit set is given.
 DEFAULT_NA_TOKENS = frozenset({"", "NA", "NaN", "null"})
@@ -225,26 +226,51 @@ def parse_csv(
 
 def write_csv(dataset: Dataset, path: str | Path, na_token: str = "NA") -> None:
     """Write a Dataset back to CSV; observed floats use shortest round-trip repr."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(dataset.names)
-        for i in range(dataset.n_rows):
-            writer.writerow(
-                [
-                    repr(float(dataset.values[i, j])) if dataset.mask[i, j] else na_token
-                    for j in range(dataset.n_cols)
-                ]
-            )
+    write_matrix_csv(dataset.values, dataset.names, Path(path), na_token)
 
 
-def write_matrix_csv(matrix: np.ndarray, names: list[str], path: Path) -> None:
-    """Write a complete matrix under a header row, shortest round-trip reprs."""
+def write_matrix_csv(
+    matrix: np.ndarray, names: list[str], path: Path, na_token: str = "NA"
+) -> None:
+    """Write a matrix under a header row, shortest round-trip reprs, NaN as token."""
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
         for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
+            writer.writerow(
+                [na_token if math.isnan(v) else repr(v) for v in row.tolist()]
+            )
+
+
+def write_outputs(
+    outdir: Path, files: Iterable[tuple[str, str | Callable[[Path], object]]]
+) -> list[Path]:
+    """Create ``outdir`` and write each ``(file name, text or writer of a path)``.
+
+    Returns the paths in order.  On any failure every file this call opened is
+    removed, the partly written one included; an OSError becomes a ConfigError
+    tagged with stage ``write``.
+    """
+    written: list[Path] = []
+    path = outdir
+    with stage("write"):
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for name, content in files:
+                path = outdir / name
+                written.append(path)  # before opening: a partial file goes too
+                if isinstance(content, str):
+                    path.write_text(content, encoding="utf-8")
+                else:
+                    content(path)
+        except BaseException as exc:
+            for created in written:
+                with suppress(OSError):
+                    created.unlink()
+            if isinstance(exc, OSError):
+                raise ConfigError(f"cannot write {path}: {exc}") from exc
+            raise
+    return written
 
 
 def missing_profile(dataset: Dataset) -> list[ProfileRow]:

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Every error raised by the library derives from :class:`MissgraphError` so the
-CLI can map failures onto stable exit codes; pipeline stages tag exceptions
-with the stage name they escaped from (see :func:`stage`).
+Every error raised by the library derives from :class:`MissgraphError`; each
+error family carries its CLI exit code and kind name, and pipeline stages tag
+exceptions with the stage name they escaped from (see :func:`stage`).
 """
 
 from __future__ import annotations
@@ -13,15 +13,23 @@ from contextlib import contextmanager
 class MissgraphError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+    kind = "error"
     stage: str | None = None
 
 
 class ConfigError(MissgraphError):
     """Invalid configuration: bad flag values, malformed spec files."""
 
+    exit_code = 2
+    kind = "config"
+
 
 class ParseError(MissgraphError):
     """Input data could not be parsed (bad CSV shape, non-numeric cells)."""
+
+    exit_code = 3
+    kind = "parse"
 
 
 class SchemaError(ParseError):
@@ -30,6 +38,9 @@ class SchemaError(ParseError):
 
 class NumericError(MissgraphError):
     """A numerical precondition failed during estimation."""
+
+    exit_code = 4
+    kind = "numeric"
 
 
 class ContractError(NumericError):
@@ -60,42 +71,14 @@ class UnimputableColumnError(NumericError):
 class ConvergenceError(MissgraphError):
     """An iterative solver exhausted its iteration budget."""
 
+    exit_code = 5
+    kind = "convergence"
+
     def __init__(self, message: str, residual: float | None = None):
         self.residual = residual
         if residual is not None:
             message = f"{message} (residual {residual:.3e})"
         super().__init__(message)
-
-
-# CLI exit codes: 0 ok, 2 config, 3 parse, 4 numeric, 5 convergence.
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_PARSE = 3
-EXIT_NUMERIC = 4
-EXIT_CONVERGENCE = 5
-
-
-def exit_code_for(exc: BaseException) -> int:
-    """Map an exception to the CLI exit code of its error family."""
-    if isinstance(exc, ConfigError):
-        return EXIT_CONFIG
-    if isinstance(exc, ParseError):
-        return EXIT_PARSE
-    if isinstance(exc, ConvergenceError):
-        return EXIT_CONVERGENCE
-    if isinstance(exc, NumericError):
-        return EXIT_NUMERIC
-    return 1
-
-
-def error_kind(exc: BaseException) -> str:
-    """Short family name used in the CLI's machine-parsable error line."""
-    return {
-        EXIT_CONFIG: "config",
-        EXIT_PARSE: "parse",
-        EXIT_NUMERIC: "numeric",
-        EXIT_CONVERGENCE: "convergence",
-    }.get(exit_code_for(exc), "error")
 
 
 @contextmanager

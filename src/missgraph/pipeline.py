@@ -20,6 +20,7 @@ import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from .dataset import (
     load_schema,
     missing_profile,
     write_matrix_csv,
+    write_outputs,
 )
 from .errors import ConfigError, ContractError, stage
 from .ggm import fit_precision, select_lambda_ric
@@ -344,9 +346,10 @@ def run_analysis(config: AnalysisConfig) -> tuple[AnalysisResult, list[Path]]:
     """File-level analyze: parse the input CSV, run, write the output files.
 
     Writes ``report.json``, ``arcs.csv`` and ``graph.dot`` into ``config.out``
-    (plus ``member_###.csv`` when member dumping is on).  Output files are
-    written only after the whole computation succeeded; a failed write cleans
-    up whatever was already on disk.
+    (plus ``member_###.csv`` when member dumping is on) and returns their
+    paths, ``report.json`` first.  Output files are written only after the
+    whole computation succeeded; a failed write removes every output file it
+    opened, the partly written one included (see ``write_outputs``).
     """
     from .dataset import parse_csv  # local import keeps module load light
 
@@ -359,26 +362,17 @@ def run_analysis(config: AnalysisConfig) -> tuple[AnalysisResult, list[Path]]:
         schema = load_schema(config.schema) if config.schema else None
         dataset = parse_csv(config.input, na_tokens=config.na_tokens, schema=schema)
     result = analyze_dataset(dataset, config)
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        report_path = outdir / "report.json"
-        report_path.write_text(result.report.to_json(), encoding="utf-8")
-        written.append(report_path)
-        arcs_path = outdir / "arcs.csv"
-        arcs_path.write_text(render_arcs_csv(result.report), encoding="utf-8")
-        written.append(arcs_path)
-        dot_path = outdir / "graph.dot"
-        dot_path.write_text(render_dot(result.report), encoding="utf-8")
-        written.append(dot_path)
-        if config.dump_members:
-            for idx, member in enumerate(result.members, start=1):
-                member_path = outdir / f"member_{idx:03d}.csv"
-                write_matrix_csv(member, result.table.names, member_path)
-                written.append(member_path)
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    return result, written
+    report = result.report
+    names = result.table.names
+    return result, write_outputs(
+        Path(config.out),
+        [
+            ("report.json", report.to_json()),
+            ("arcs.csv", render_arcs_csv(report)),
+            ("graph.dot", render_dot(report)),
+        ]
+        + [
+            (f"member_{k:03d}.csv", partial(write_matrix_csv, member, names))
+            for k, member in enumerate(result.members, start=1)
+        ],
+    )

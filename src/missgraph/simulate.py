@@ -91,6 +91,18 @@ class GroundTruth:
                 arcs.add((spec.driver, comp))
         return arcs
 
+    def indirect_arcs(self) -> set[tuple[str, str]]:
+        """Pairs outside ``expected_arcs`` whose observation is a precision
+        neighbour of a mechanism's source (the MNAR target, the MAR driver):
+        the witness arcs MNAR detection relies on."""
+        arcs = set()
+        for spec in self.specs:
+            if spec.kind is not MechanismKind.MCAR:
+                row = self.precision[self.names.index(spec.driver or spec.target)]
+                comp = indicator_name(spec.target)
+                arcs.update((v, comp) for v, w in zip(self.names, row) if w != 0)
+        return arcs - self.expected_arcs()
+
     def to_dict(self) -> dict:
         return {
             "names": list(self.names),
@@ -315,7 +327,8 @@ def run_benchmark(truths: list[GroundTruth], config=None) -> dict:
       least one witness);
     - MAR: ``driver_arc_power`` and ``self_arc_rate`` (false self arcs);
     - every kind: ``false_arc_rate``, the share of observation/indicator
-      pairs flagged although no mechanism implies them.
+      pairs flagged although no mechanism implies them, directly
+      (``expected_arcs``) or through a witness (``indirect_arcs``).
     """
     if not truths:
         raise ContractError("benchmark needs at least one replicate")
@@ -328,20 +341,16 @@ def run_benchmark(truths: list[GroundTruth], config=None) -> dict:
         stats = counters[label]
         stats["replicates"] += 1
         try:
-            dataset = regenerate_dataset(truth)
-            result = analyze_dataset(dataset, config)
+            result = analyze_dataset(regenerate_dataset(truth), config)
         except MissgraphError as exc:
             stats["errors"] += 1
             failures.append(f"{label}: {exc}")
             continue
         found = {(a.observation_var, a.completeness_var) for a in result.arcs}
+        roles = Counter(v["kind"] for v in result.report.variables)
+        stats["mixed_pairs"] += roles["Completeness"] * roles["Observation"]
         expected = truth.expected_arcs()
-        n_indicators = sum(
-            1 for v in result.report.variables if v["kind"] == "Completeness"
-        )
-        n_observation = len(result.report.variables) - n_indicators
-        stats["mixed_pairs"] += n_indicators * n_observation
-        stats["false_arcs"] += len(found - expected)
+        stats["false_arcs"] += len(found - expected - truth.indirect_arcs())
         for spec in truth.specs:
             comp = indicator_name(spec.target)
             if spec.kind is MechanismKind.MNAR:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import missgraph.cli
 import missgraph.ggm
 import missgraph.pipeline
 from missgraph import (
@@ -328,6 +330,77 @@ class TestExitCodes:
         assert payload["stage"] == "transform"
         assert "'c'" in payload["message"]
 
+    @staticmethod
+    def writing_argv(command, out, tmp_path, mnar_run):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "n": 200,
+                    "names": ["a", "b"],
+                    "precision": {"type": "identity", "p": 2},
+                    "mechanisms": [{"kind": "MCAR", "target": "a", "rate": 0.3}],
+                }
+            )
+        )
+        return {
+            "analyze": [
+                "analyze",
+                "--input", str(DATA / "mnar_example.csv"),
+                "--imputations", "2",
+                "--dump-members",
+                "--out", str(out),
+            ],
+            "simulate": ["simulate", "--spec", str(spec), "--out", str(out)],
+            "export": [
+                "export",
+                "--report", str(mnar_run / "report.json"),
+                "--format", "dot",
+                "--out", str(out / "graph.dot"),
+            ],
+        }[command]
+
+    @staticmethod
+    def assert_write_error(code, err):
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["kind"], payload["stage"]) == ("config", "write")
+        assert payload["message"].startswith("cannot write ")
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "export"])
+    def test_out_under_regular_file_is_write_error(
+        self, command, mnar_run, tmp_path, capsys
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        argv = self.writing_argv(command, blocker / "out", tmp_path, mnar_run)
+        code, out, err = run(argv, capsys)
+        self.assert_write_error(code, err)
+        assert "wrote:" not in out
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "command, writer_module",
+        [("simulate", missgraph.cli), ("analyze", missgraph.pipeline)],
+        ids=["simulate", "analyze_dump_members"],
+    )
+    def test_failed_write_removes_every_output_file(
+        self, command, writer_module, mnar_run, tmp_path, capsys, monkeypatch
+    ):
+        def write_half_then_fail(matrix, names, path, *args):
+            path.write_text(",".join(names) + "\n1.0,")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(writer_module, "write_matrix_csv", write_half_then_fail)
+        out = tmp_path / "out"
+        argv = self.writing_argv(command, out, tmp_path, mnar_run)
+        code, _, err = run(argv, capsys)
+        self.assert_write_error(code, err)
+        assert out.is_dir()
+        assert [path for path in out.rglob("*") if path.is_file()] == []
+
     def test_failed_run_leaves_no_partial_outputs(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,x\n")
@@ -573,6 +646,21 @@ class TestExport:
         )
         assert code == 0
         assert target.read_text().startswith("graph missingness {")
+
+    def test_export_creates_missing_directories(self, mnar_run, tmp_path, capsys):
+        target = tmp_path / "new" / "dir" / "arcs.csv"
+        code, out, _ = run(
+            [
+                "export",
+                "--report", str(self.report_path(mnar_run)),
+                "--format", "csv",
+                "--out", str(target),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert out == f"wrote: {target}\n"
+        assert target.read_text() == (mnar_run / "arcs.csv").read_text()
 
     @pytest.mark.parametrize(
         "fmt, damage",

@@ -5,9 +5,15 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from missgraph import (
+    AnalysisConfig,
     ContractError,
+    Dataset,
     DegenerateColumnError,
+    MechanismSpec,
+    analyze_dataset,
+    ar1_precision,
     nonparanormal_transform,
+    simulate_dataset,
     winsorization_bound,
 )
 
@@ -23,6 +29,54 @@ def test_monotone_pretransform_is_invisible(rng):
     via_cube = transform_col(x**3)
     np.testing.assert_array_equal(direct, via_exp)
     np.testing.assert_array_equal(direct, via_cube)
+
+
+RANK_CONFIG = AnalysisConfig(n_imputations=3, seed=4)
+RANK_DATASET, _ = simulate_dataset(
+    ar1_precision(3, 0.5),
+    800,
+    ["a", "b", "c"],
+    [
+        MechanismSpec(kind="MNAR", target="a", rate=0.3, slope=1.5),
+        MechanismSpec(kind="MAR", target="b", driver="c", rate=0.2, slope=1.5),
+    ],
+    seed=11,
+)
+
+
+def volatile_free_report(dataset):
+    report = analyze_dataset(dataset, RANK_CONFIG).report
+    del report.meta["runtime"]
+    return report.to_json()
+
+
+@pytest.fixture(scope="module")
+def rank_reference():
+    return volatile_free_report(RANK_DATASET)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    column=st.integers(min_value=0, max_value=2),
+    increasing=st.one_of(
+        st.sampled_from([np.exp, lambda x: x**3, np.arctan]),
+        st.tuples(
+            st.floats(min_value=0.01, max_value=100),
+            st.floats(min_value=-100, max_value=100),
+        ).map(lambda ab: lambda x: ab[0] * x + ab[1]),
+    ),
+)
+def test_rank_invariance_end_to_end(rank_reference, column, increasing):
+    # Hot-deck draws pick row positions and the transform sees only ranks,
+    # so a strictly increasing map of one column leaves the report unchanged.
+    values = RANK_DATASET.values.copy()
+    values[:, column] = increasing(values[:, column])
+    observed = RANK_DATASET.mask[:, column]
+    before, after = RANK_DATASET.values[observed, column], values[observed, column]
+    assert len(np.unique(after)) == len(after)
+    assert np.array_equal(np.argsort(before), np.argsort(after))
+    mapped = Dataset(metas=RANK_DATASET.metas, values=values, mask=RANK_DATASET.mask)
+    assert volatile_free_report(mapped) == rank_reference
 
 
 def test_binary_column_becomes_standardized_two_point():

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+import missgraph.simulate
 
 from missgraph import (
     AnalysisConfig,
@@ -229,10 +233,39 @@ class TestBenchmark:
         assert mixed["witness_rate"] == 1.0
         assert mixed["driver_arc_power"] == 1.0
         assert mixed["self_arc_rate"] == 0.0
-        # 3 observation x 2 indicator columns x 2 replicates = 12 pairs; the
-        # two flagged pairs outside expected_arcs are the (w, a) witness arcs
-        assert mixed["false_arc_rate"] == pytest.approx(2 / 12)
+        # the flagged (w, a__observed) pairs are witnesses (w is a precision
+        # neighbour of the MNAR target a), not false arcs
+        assert mixed["false_arc_rate"] == 0.0
         assert mixed_batch["failures"] == []
+
+    def test_indirect_arcs_are_not_false_arcs(self, monkeypatch):
+        # a and w are precision neighbours, z is independent of both
+        cov = np.array([[1.0, 0.6, 0.0], [0.6, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        _, truth = simulate_dataset(
+            np.linalg.inv(cov),
+            50,
+            ["a", "w", "z"],
+            [MechanismSpec(kind="MNAR", target="a", rate=0.3, slope=1.5)],
+            seed=1,
+        )
+        arcs = [
+            SimpleNamespace(observation_var=v, completeness_var="a__observed")
+            for v in ("a", "w", "z")
+        ]
+        variables = [{"kind": "Observation"}] * 3 + [{"kind": "Completeness"}]
+        result = SimpleNamespace(
+            arcs=arcs,
+            findings=[],
+            report=SimpleNamespace(variables=variables),
+        )
+        monkeypatch.setattr(
+            missgraph.simulate, "analyze_dataset", lambda dataset, config: result
+        )
+        assert truth.indirect_arcs() == {("w", "a__observed")}
+        mnar = run_benchmark([truth])["mechanisms"]["MNAR"]
+        # 3 observation x 1 indicator column; only the z arc is false
+        assert mnar["false_arc_rate"] == pytest.approx(1 / 3)
+        assert mnar["self_arc_power"] == 1.0
 
     def test_errors_recorded_not_raised(self):
         # 6 rows are below the transform minimum, so the replicate fails;
