@@ -35,7 +35,7 @@ print("ground truth arcs:", truth.expected_arcs())
 config = AnalysisConfig(alpha=0.01, n_imputations=25, seed=7)
 result = analyze_dataset(dataset, config)
 
-print(f"\nselected lambdas (first 5): {[round(l, 4) for l in result.lambdas[:5]]}")
+print(f"\nselected lambda (one for all members): {result.lambdas[0]:.4f}")
 print(f"\n{len(result.arcs)} significant observation<->completeness arcs:")
 for arc in result.arcs:
     extra = ""

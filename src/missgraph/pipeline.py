@@ -2,14 +2,17 @@
 
 Stage order is fixed: completeness indicators are derived from the mask,
 missing cells are hot-deck imputed into K complete members, each member is
-rank-Gaussianized, gets its own regularization level (permutation criterion
-by default), is fitted by the graphical lasso and de-biased, and the
-resulting partial correlations are Fisher-pooled across members before arcs
-are extracted.
+rank-Gaussianized, fitted by the graphical lasso at one regularization level
+shared by all members, and de-biased, and the resulting partial correlations
+are Fisher-pooled across members before arcs are extracted.  The level is
+``lambda_value`` when given; otherwise the permutation criterion sets it once
+per analysis, on member 1.  That null keeps only the column marginals, which
+the members share up to the ranks of their filled cells, so the K per-member
+nulls would estimate one quantity.
 
-Seeding: member k (1-based) imputes with ``split_seed(seed, k)`` and selects
-its regularization with ``split_seed(split_seed(seed, k), RIC_STREAM)``, so
-the whole run is a pure function of (config, seed).
+Seeding: member k (1-based) imputes with ``split_seed(seed, k)``; the
+permutation null runs with ``split_seed(split_seed(seed, 1), RIC_STREAM)``,
+so the whole run is a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class AnalysisConfig:
     alpha: float = 0.01
     n_imputations: int = 25
     seed: int = 0
-    lambda_value: float | None = None  # None: permutation null per member
+    lambda_value: float | None = None  # None: permutation null on member 1
     n_rotations: int = 20
     out: Path | None = None
     na_tokens: frozenset[str] = DEFAULT_NA_TOKENS
@@ -212,8 +215,26 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     if len(metas) < 2:
         raise ContractError("analysis needs at least 2 variables")
     names = augmented.names
+
+    def transform(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        return nonparanormal_transform(
+            matrix[:, columns], [names[j] for j in columns]
+        ).values
+
+    # The rank transform works column by column, and only the hot-deck-filled
+    # columns differ between members: the indicators and the fully observed
+    # columns are transformed once, into the matrix every member reuses.
+    imputed = np.flatnonzero(~augmented.base.mask.all(axis=0))
+    shared = np.setdiff1d(np.arange(len(names)), imputed)
+    with stage("transform"):
+        transformed = np.empty((augmented.n_rows, len(names)))
+        transformed[:, shared] = transform(
+            np.hstack([augmented.base.values, augmented.indicator_values]), shared
+        )
     fits = []
     lambdas = []
+    # None: set by member 1's permutation null, then used for every member.
+    lam = None if config.lambda_value is None else float(config.lambda_value)
     members: list[np.ndarray] = []
     for k in range(1, config.n_imputations + 1):
         member_seed = split_seed(config.seed, k)
@@ -222,16 +243,14 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
         if config.dump_members:
             members.append(member)
         with stage("transform"):
-            transformed = nonparanormal_transform(member, names)
-        if config.lambda_value is None:
+            transformed[:, imputed] = transform(member, imputed)
+        if lam is None:
             with stage("select_lambda"):
                 lam = select_lambda_ric(
                     transformed,
                     n_rotations=config.n_rotations,
                     seed=split_seed(member_seed, RIC_STREAM),
                 )
-        else:
-            lam = float(config.lambda_value)
         lambdas.append(lam)
         with stage("fit"):
             fits.append(fit_precision(transformed, lam))
@@ -347,11 +366,16 @@ def run_analysis(config: AnalysisConfig) -> tuple[AnalysisResult, list[Path]]:
 
     Writes ``report.json``, ``arcs.csv`` and ``graph.dot`` into ``config.out``
     (plus ``member_###.csv`` when member dumping is on) and returns their
-    paths, ``report.json`` first.  Output files are written only after the
-    whole computation succeeded; a failed write removes every output file it
-    opened, the partly written one included (see ``write_outputs``).
+    paths, ``report.json`` first.  The output directory is created before
+    the first fit, so an unwritable one fails early; the files are written
+    only after the whole computation succeeded, and a failed write removes
+    every output file it opened, the partly written one included (see
+    ``write_outputs``).  A failed analysis can leave the empty directory.
     """
-    from .dataset import parse_csv  # local import keeps module load light
+    # Looked up in ``missgraph.dataset`` at call time, not bound at import,
+    # so that a wrapper installed on ``missgraph.dataset.parse_csv`` (as the
+    # benchmark's tracer does) is the function called here.
+    from .dataset import parse_csv
 
     config.validate()
     if config.input is None:
@@ -361,11 +385,13 @@ def run_analysis(config: AnalysisConfig) -> tuple[AnalysisResult, list[Path]]:
     with stage("parse"):
         schema = load_schema(config.schema) if config.schema else None
         dataset = parse_csv(config.input, na_tokens=config.na_tokens, schema=schema)
+    out = Path(config.out)
+    write_outputs(out, [])
     result = analyze_dataset(dataset, config)
     report = result.report
     names = result.table.names
     return result, write_outputs(
-        Path(config.out),
+        out,
         [
             ("report.json", report.to_json()),
             ("arcs.csv", render_arcs_csv(report)),

@@ -180,8 +180,13 @@ class TestAnalyze:
         assert code == 0
         members = sorted((tmp_path / "out").glob("member_*.csv"))
         assert len(members) == 3
-        # The members and their lambdas give back the pooled table exactly.
         report = json.loads((tmp_path / "out" / "report.json").read_text())
+        # The input has an imputed, a fully observed and an indicator column,
+        # so the shared-column transform and the per-member one both count.
+        missing = [row["missing_proportion"] for row in report["missing_profile"]]
+        assert min(missing) == 0.0 < max(missing)
+        assert "Completeness" in {v["kind"] for v in report["variables"]}
+        # The members and their lambdas give back the pooled table exactly.
         names = members[0].read_text().splitlines()[0].split(",")
         fits = [
             fit_precision(
@@ -371,8 +376,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["analyze", "simulate", "export"])
     def test_out_under_regular_file_is_write_error(
-        self, command, mnar_run, tmp_path, capsys
+        self, command, mnar_run, tmp_path, capsys, monkeypatch
     ):
+        def no_impute(*args, **kwargs):
+            raise AssertionError("a member was imputed before the write check")
+
+        # analyze creates its output directory before the first member
+        monkeypatch.setattr(missgraph.pipeline, "hot_deck_impute", no_impute)
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         argv = self.writing_argv(command, blocker / "out", tmp_path, mnar_run)
