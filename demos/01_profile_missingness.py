@@ -20,7 +20,10 @@ for row in missing_profile(dataset):
 
 augmented = make_completeness_indicators(dataset)
 print("\ncompleteness indicators:")
-for meta in augmented.indicator_metas:
-    share = augmented.indicator_values[:, 0].mean()
+for i, meta in enumerate(augmented.indicator_metas):
+    share = augmented.indicator_values[:, i].mean()
     print(f"  {meta.name} (parent {meta.parent}, observed share {share:.3f})")
-print(f"constant columns without indicator: {list(augmented.excluded_constant)}")
+print(
+    "columns without indicator (fully observed or fully missing):"
+    f" {list(augmented.excluded_constant)}"
+)

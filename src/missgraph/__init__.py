@@ -68,7 +68,6 @@ from .simulate import (
     GroundTruth,
     MechanismKind,
     MechanismSpec,
-    apply_mechanisms,
     ar1_precision,
     generate_gaussian,
     run_benchmark,
@@ -105,7 +104,6 @@ __all__ = [
     "VarKind",
     "VariableMeta",
     "analyze_dataset",
-    "apply_mechanisms",
     "ar1_precision",
     "correlation_matrix",
     "desparsify",

@@ -2,8 +2,8 @@
 
 An indicator is 1 where the parent cell is observed and 0 where it is missing.
 Fully observed and fully missing columns would yield constant indicators,
-which carry no correlation information, so they are skipped and recorded in
-``excluded_constant``.
+which carry no correlation information, so they get none: their names are
+recorded in ``excluded_constant`` and the columns stay in the analysis.
 """
 
 from __future__ import annotations

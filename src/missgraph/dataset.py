@@ -173,13 +173,14 @@ def parse_csv(
     na_tokens : cell texts, matched case-sensitively after trimming, that mark
         a missing cell.  Defaults to ``{"", "NA", "NaN", "null"}``.
     schema : optional map from variable name to :class:`Category`; unmapped
-        variables fall back to ``Category.OTHER``.
+        variables fall back to ``Category.OTHER``, and every key must name
+        a header column.
 
     Raises
     ------
     ParseError for missing files, empty tables, ragged rows (with the row
     number) and non-numeric cells (with row/column coordinates);
-    SchemaError for duplicate header names.
+    SchemaError for duplicate header names and schema keys naming no column.
     """
     path = Path(path)
     na = frozenset(str(t) for t in na_tokens)
@@ -195,6 +196,9 @@ def parse_csv(
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise SchemaError(f"{path}: duplicate header name(s): {', '.join(dupes)}")
+        unknown = sorted(set(schema or {}) - set(header))
+        if unknown:
+            raise SchemaError(f"{path}: schema names no column: {', '.join(unknown)}")
         n_cols = len(header)
         rows: list[list[float]] = []
         for row_no, row in enumerate(reader, start=2):  # header is line 1

@@ -53,7 +53,7 @@ from .pooling import (
     pool_partial_correlations,
     require_fisher_dof,
 )
-from .report import AnalysisReport, render_arcs_csv, render_dot
+from .report import ARC_FIELDS, AnalysisReport, json_record, render_arcs_csv, render_dot
 
 #: Stream index separating the RIC permutation RNG from the imputation RNG.
 RIC_STREAM = 7919
@@ -98,16 +98,9 @@ class AnalysisConfig:
     def to_dict(self) -> dict:
         """JSON form of every field but ``out``, so that reports written to
         different directories stay byte-identical."""
-        result = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Path):
-                value = str(value)
-            elif isinstance(value, frozenset):
-                value = sorted(value)
-            result[f.name] = value
-        del result["out"]
-        return result
+        record = json_record(self)
+        del record["out"]
+        return record
 
 
 # Field type -> (test of a JSON value, its name in error messages).
@@ -286,23 +279,6 @@ def _build_report(
     warnings_list: list[str],
     elapsed: float,
 ) -> AnalysisReport:
-    variables = [
-        {
-            "name": m.name,
-            "category": m.category.value,
-            "kind": m.kind.value,
-            "parent": m.parent,
-        }
-        for m in table.metas
-    ]
-    profile = [
-        {
-            "name": row.name,
-            "category": row.category.value,
-            "missing_proportion": row.missing_proportion,
-        }
-        for row in missing_profile(dataset)
-    ]
     edges = []
     for i, j, meta_i, meta_j in table.pairs():
         edges.append(
@@ -314,27 +290,6 @@ def _build_report(
                 "support_count": int(table.support_count[i, j]),
             }
         )
-    arc_dicts = [
-        {
-            "obs_var": a.observation_var,
-            "comp_var": a.completeness_var,
-            "rho": a.pooled_rho,
-            "p": a.p_value,
-            "sign": a.sign,
-            "counterpart_rho": a.counterpart_rho,
-            "counterpart_p": a.counterpart_p,
-        }
-        for a in arcs
-    ]
-    finding_dicts = [
-        {
-            "variable": f.variable,
-            "self_arc_rho": f.self_arc_rho,
-            "self_arc_p": f.self_arc_p,
-            "witnesses": list(f.witnesses),
-        }
-        for f in findings
-    ]
     meta = {
         "package": "missgraph",
         "version": __version__,
@@ -350,14 +305,14 @@ def _build_report(
     }
     return AnalysisReport(
         meta=meta,
-        variables=variables,
-        missing_profile=profile,
+        variables=[json_record(m) for m in table.metas],
+        missing_profile=[json_record(row) for row in missing_profile(dataset)],
         excluded_constant=excluded,
         warnings=warnings_list,
         lambdas=lambdas,
         edges=edges,
-        arcs=arc_dicts,
-        mnar_findings=finding_dicts,
+        arcs=[dict(zip(ARC_FIELDS, json_record(a).values())) for a in arcs],
+        mnar_findings=[json_record(f) for f in findings],
     )
 
 

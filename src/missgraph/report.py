@@ -10,14 +10,17 @@ seed, which is what makes repeated runs byte-comparable.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from pathlib import PurePath
 
 from .errors import ConfigError
 
 EXPORT_FORMATS = ("dot", "json", "csv")
 
+#: Report keys of an arc, in ``MissingnessArc`` field order.
 ARC_FIELDS = (
     "obs_var",
     "comp_var",
@@ -39,6 +42,32 @@ ARC_CSV_COLUMNS = (
 )
 
 
+def json_record(record) -> dict:
+    """JSON form of a dataclass or named-tuple record, its fields in order.
+
+    Converts the other way round from ``pipeline.read_dataclass``: an enum
+    becomes its value, a path a string, a frozenset a sorted list and a
+    tuple a list.  Other values are kept as they are, not copied.
+    """
+    if isinstance(record, tuple):
+        items = record._asdict()
+    else:
+        items = {f.name: getattr(record, f.name) for f in fields(record)}
+    return {name: _json_value(value) for name, value in items.items()}
+
+
+def _json_value(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, PurePath):
+        return str(value)
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
 @dataclass
 class AnalysisReport:
     """End-to-end analysis result in JSON-ready form."""
@@ -54,7 +83,7 @@ class AnalysisReport:
     mnar_findings: list[dict]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return json_record(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisReport":
@@ -112,18 +141,15 @@ def render_arcs_csv(report: AnalysisReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ARC_CSV_COLUMNS)
     for arc in report.arcs:
-        writer.writerow(
-            [
-                arc["obs_var"],
-                arc["comp_var"],
-                repr(arc["rho"]),
-                repr(arc["p"]),
-                "" if arc["counterpart_rho"] is None else repr(arc["counterpart_rho"]),
-                "" if arc["counterpart_p"] is None else repr(arc["counterpart_p"]),
-                arc["sign"],
-            ]
-        )
+        writer.writerow([_csv_cell(arc[key]) for key in ARC_CSV_COLUMNS])
     return buf.getvalue()
+
+
+def _csv_cell(value) -> str:
+    """Text as is, a number as its shortest round-trip repr, None as empty."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(value)
 
 
 def render_graph_json(report: AnalysisReport) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit, logit
@@ -27,6 +27,7 @@ from .dataset import Category, Dataset, VariableMeta
 from .errors import ConfigError, ContractError, MissgraphError
 from .impute import split_seed
 from .pipeline import AnalysisConfig, analyze_dataset, read_dataclass
+from .report import json_record
 
 
 class MechanismKind(str, enum.Enum):
@@ -61,7 +62,7 @@ class MechanismSpec:
             raise ContractError("slope must be finite")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "kind": self.kind.value}
+        return json_record(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MechanismSpec":
@@ -231,7 +232,7 @@ def _probability_matrix(
 def _mask(
     latent: np.ndarray,
     names: tuple[str, ...],
-    specs: tuple[MechanismSpec, ...] | list[MechanismSpec],
+    specs: tuple[MechanismSpec, ...],
     probs: np.ndarray,
     categories: dict[str, Category] | None = None,
 ) -> Dataset:
@@ -249,20 +250,6 @@ def _mask(
         for name in names
     )
     return Dataset(metas=metas, values=values, mask=mask)
-
-
-def apply_mechanisms(
-    matrix: np.ndarray,
-    names: list[str] | tuple[str, ...],
-    specs: list[MechanismSpec] | tuple[MechanismSpec, ...],
-    categories: dict[str, Category] | None = None,
-) -> Dataset:
-    """Mask several target columns of a complete matrix, one mechanism per target."""
-    latent = np.asarray(matrix, dtype=float)
-    names = tuple(names)
-    return _mask(
-        latent, names, specs, _probability_matrix(latent, names, specs), categories
-    )
 
 
 def simulate_dataset(

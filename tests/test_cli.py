@@ -322,6 +322,22 @@ class TestExitCodes:
         assert code == 3
         assert "'b'" in json.loads(err.strip().splitlines()[-1])["message"]
 
+    def test_schema_key_naming_no_column_is_parse_error(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text('{"lab_valu": "BloodTests"}')
+        argv = [
+            "analyze",
+            "--input", str(DATA / "mnar_example.csv"),
+            "--schema", str(schema),
+            "--out", str(tmp_path / "o"),
+        ]
+        code, _, err = run(argv, capsys)
+        assert code == 3
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert payload["kind"] == "parse"
+        assert payload["stage"] == "parse"
+        assert "lab_valu" in payload["message"]
+
     def test_constant_column_is_numeric_error(self, tmp_path, capsys):
         const = tmp_path / "const.csv"
         rows = "\n".join("5.0,%d" % i for i in range(20))

@@ -103,6 +103,12 @@ class TestParseCsv:
         assert ds.metas[0].category is Category.VITAL_PHYSIOLOGY
         assert ds.metas[1].category is Category.DEMOGRAPHICS
 
+    def test_schema_key_naming_no_column_rejected(self, tmp_path):
+        data = write(tmp_path, "hr,age\n80,NA\n72,61\n")
+        schema = {"hr": Category.VITAL_PHYSIOLOGY, "agee": Category.DEMOGRAPHICS}
+        with pytest.raises(SchemaError, match="agee"):
+            parse_csv(data, schema=schema)
+
     def test_schema_unknown_category(self, tmp_path):
         schema = write(tmp_path, '{"hr": "Nonsense"}', name="schema.json")
         with pytest.raises(SchemaError, match="unknown category"):

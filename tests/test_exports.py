@@ -15,6 +15,12 @@ def test_star_import():
 
 
 def test_removed_names_absent():
-    for name in ("make_ensemble", "ImputationEnsemble", "apply_mechanism"):
+    removed = (
+        "make_ensemble",
+        "ImputationEnsemble",
+        "apply_mechanism",
+        "apply_mechanisms",
+    )
+    for name in removed:
         assert name not in missgraph.__all__
         assert not hasattr(missgraph, name)

@@ -1,12 +1,18 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import missgraph.pipeline
 from missgraph import (
     AnalysisConfig,
+    Category,
     Dataset,
     DegenerateColumnError,
     MechanismSpec,
+    MissingnessArc,
+    ProfileRow,
     VariableMeta,
     analyze_dataset,
     ar1_precision,
@@ -17,7 +23,8 @@ from missgraph import (
     simulate_dataset,
     split_seed,
 )
-from missgraph.pipeline import RIC_STREAM
+from missgraph.pipeline import RIC_STREAM, read_dataclass
+from missgraph.report import ARC_FIELDS, json_record
 
 CONFIG = AnalysisConfig(n_imputations=4, seed=9, n_rotations=5)
 # a and b are imputed (each gets an indicator), c is fully observed.
@@ -82,3 +89,58 @@ def test_fully_observed_table_has_no_imputed_columns():
     result = analyze_dataset(dataset, AnalysisConfig(n_imputations=2, n_rotations=3))
     assert len(set(result.lambdas)) == 1
     assert result.report.warnings == [missgraph.pipeline.NO_INDICATOR_WARNING]
+
+
+def test_report_arcs_are_the_arc_records_by_field():
+    assert len(ARC_FIELDS) == len(fields(MissingnessArc))
+    result = analyze_dataset(DATASET, CONFIG)
+    assert result.arcs
+    assert result.report.arcs == [
+        dict(zip(ARC_FIELDS, json_record(arc).values())) for arc in result.arcs
+    ]
+    # The report key of each public attribute, spelled out once here.
+    attributes = {
+        "obs_var": "observation_var",
+        "comp_var": "completeness_var",
+        "rho": "pooled_rho",
+        "p": "p_value",
+        "sign": "sign",
+        "counterpart_rho": "counterpart_rho",
+        "counterpart_p": "counterpart_p",
+    }
+    for reported, arc in zip(result.report.arcs, result.arcs):
+        assert list(reported) == list(attributes)
+        assert reported == {k: getattr(arc, a) for k, a in attributes.items()}
+
+
+def test_json_record_inverts_read_dataclass():
+    config = AnalysisConfig(
+        input=Path("in.csv"),
+        schema=Path("schema.json"),
+        alpha=0.05,
+        n_imputations=3,
+        seed=7,
+        lambda_value=0.1,
+        n_rotations=4,
+        out=Path("out"),
+        na_tokens=frozenset({"?", "NA"}),
+        dump_members=True,
+    )
+    assert all(getattr(config, f.name) != f.default for f in fields(config))
+    assert read_dataclass(AnalysisConfig, json_record(config)) == config
+    specs = [
+        MechanismSpec(kind="MCAR", target="a", rate=0.2, seed=5),
+        MechanismSpec(kind="MAR", target="a", driver="b", rate=0.3, slope=-1.0),
+        MechanismSpec(kind="MNAR", target="b", rate=0.4, slope=1.5, seed=2),
+    ]
+    for spec in specs:
+        assert read_dataclass(MechanismSpec, json_record(spec), "mechanism") == spec
+
+
+def test_json_record_of_a_named_tuple():
+    row = ProfileRow("a", Category.BLOOD_TESTS, 0.25)
+    assert json_record(row) == {
+        "name": "a",
+        "category": "BloodTests",
+        "missing_proportion": 0.25,
+    }

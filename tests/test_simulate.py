@@ -12,7 +12,6 @@ from missgraph import (
     GroundTruth,
     MechanismKind,
     MechanismSpec,
-    apply_mechanisms,
     ar1_precision,
     generate_gaussian,
     indicator_name,
@@ -65,9 +64,8 @@ class TestGenerateGaussian:
 
 class TestMechanisms:
     def test_mcar_rate_concentrates(self):
-        x = generate_gaussian(np.eye(2), 10_000, seed=1)
         spec = MechanismSpec(kind="MCAR", target="a", rate=0.3, seed=7)
-        ds = apply_mechanisms(x, ["a", "b"], [spec])
+        ds, _ = simulate_dataset(np.eye(2), 10_000, ["a", "b"], [spec], seed=1)
         missing = 1.0 - ds.mask[:, 0].mean()
         assert missing == pytest.approx(0.3, abs=0.02)
         assert ds.mask[:, 1].all()
@@ -85,11 +83,10 @@ class TestMechanisms:
         np.testing.assert_allclose(_probability_column(x, names, mnar), p0)
 
     def test_mnar_selects_low_values_when_slope_positive(self):
-        x = generate_gaussian(np.eye(1), 20_000, seed=4)
         spec = MechanismSpec(kind="MNAR", target="a", rate=0.3, slope=1.5, seed=3)
-        ds = apply_mechanisms(x, ["a"], [spec])
+        ds, truth = simulate_dataset(np.eye(1), 20_000, ["a"], [spec], seed=4)
         observed_mean = ds.values[ds.mask[:, 0], 0].mean()
-        assert observed_mean < x[:, 0].mean()
+        assert observed_mean < truth.latent[:, 0].mean()
 
     def test_rate_bounds_enforced(self):
         with pytest.raises(ContractError, match="rate"):
@@ -106,10 +103,9 @@ class TestMechanisms:
             MechanismSpec(kind="MNAR", target="a", driver="b", rate=0.2)
 
     def test_unknown_target_rejected(self):
-        x = np.zeros((10, 1))
         spec = MechanismSpec(kind="MCAR", target="nope", rate=0.2)
         with pytest.raises(ContractError, match="target"):
-            apply_mechanisms(x, ["a"], [spec])
+            simulate_dataset(np.eye(1), 10, ["a"], [spec])
 
 
 class TestSimulateDataset:
@@ -122,6 +118,16 @@ class TestSimulateDataset:
         np.testing.assert_array_equal(ds.mask, ds2.mask)
         assert np.array_equal(ds.values, ds2.values, equal_nan=True)
         np.testing.assert_allclose(rebuilt.probabilities, truth.probabilities)
+
+    def test_default_seeded_mechanisms_draw_independently(self):
+        specs = [
+            MechanismSpec(kind="MCAR", target="a", rate=0.3),
+            MechanismSpec(kind="MCAR", target="b", rate=0.3),
+        ]
+        ds, truth = simulate_dataset(np.eye(2), 1000, ["a", "b"], specs)
+        assert [s.seed for s in specs] == [0, 0]
+        assert truth.specs[0].seed != truth.specs[1].seed
+        assert not np.array_equal(ds.mask[:, 0], ds.mask[:, 1])
 
     def test_probabilities_recorded_for_target_only(self):
         prec = np.eye(2)
