@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import missgraph.ggm
@@ -127,6 +129,57 @@ class TestGlasso:
         with pytest.raises(ConvergenceError, match="within 1 sweeps"):
             glasso_fit(random_correlation(6, rng), 0.1)
 
+    def test_inner_lasso_meets_its_optimality_conditions(self, rng):
+        # 0.5*b'Gb - t'b + lam*|b|_1: t - Gb = lam*sign(b) where b != 0 and
+        # |t - Gb| <= lam where b == 0, whatever the active set started as.
+        gram = random_correlation(30, rng)
+        target = gram @ (rng.standard_normal(30) * (rng.random(30) < 0.3))
+        for lam in (0.01, 0.1, 0.5):
+            for start in (np.zeros(30), rng.standard_normal(30)):
+                beta = missgraph.ggm._lasso_cd(gram, target, lam, start)
+                resid = target - gram @ beta
+                on = beta != 0.0
+                np.testing.assert_allclose(
+                    resid[on], lam * np.sign(beta[on]), rtol=0, atol=1e-9
+                )
+                assert np.all(np.abs(resid[~on]) <= lam + 1e-9)
+
+    def test_screening_solves_each_component_exactly(self, rng):
+        # Components of |S| > lam: a singleton, a 2x2 pair and an AR(1) run of
+        # five; every entry between components is nonzero but below lam.
+        lam = 0.2
+        corr = np.full((8, 8), 0.03)
+        corr[1:3, 1:3] = [[1.0, 0.6], [0.6, 1.0]]
+        corr[3:, 3:] = 0.5 ** np.abs(np.subtract.outer(np.arange(5), np.arange(5)))
+        corr[0, 0] = 1.0
+        scale = rng.uniform(0.8, 1.5, size=8)
+        order = rng.permutation(8)
+        sigma = (corr * np.outer(scale, scale))[np.ix_(order, order)]
+        where = np.argsort(order)  # original index -> shuffled position
+        single, pair, run = where[:1], where[1:3], where[3:]
+        assert np.abs(sigma[np.ix_(pair, run)]).max() < lam
+
+        theta = glasso_fit(sigma, lam)
+
+        label = np.empty(8, dtype=int)
+        for k, block in enumerate((single, pair, run)):
+            label[block] = k
+        between = label[:, None] != label[None, :]
+        assert np.all(theta[between] == 0.0)
+        assert theta[single[0], single[0]] == 1.0 / sigma[single[0], single[0]]
+        s12 = sigma[pair[0], pair[1]]
+        w = sigma[np.ix_(pair, pair)].copy()
+        w[0, 1] = w[1, 0] = np.sign(s12) * (abs(s12) - lam)
+        np.testing.assert_allclose(
+            theta[np.ix_(pair, pair)], np.linalg.inv(w), rtol=0, atol=1e-8
+        )
+        alone = glasso_fit(sigma[np.ix_(run, run)], lam)
+        np.testing.assert_allclose(theta[np.ix_(run, run)], alone, rtol=0, atol=1e-10)
+        cert = kkt_certificate(sigma, theta, lam)
+        assert cert["off_support_violation"] <= 1e-6
+        assert cert["on_support_deviation"] <= 1e-6
+        assert abs(cert["duality_gap"]) <= 1e-6
+
     def test_singular_matrix_needs_penalty(self):
         ones = np.ones((3, 3))
         with pytest.raises(ContractError, match="invertible"):
@@ -136,6 +189,24 @@ class TestGlasso:
         sigma = random_correlation(4, rng)
         theta = np.linalg.inv(sigma)
         assert duality_gap(sigma, theta, 0.0) == pytest.approx(0.0, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    p=st.integers(min_value=2, max_value=9),
+    lam=st.floats(min_value=0.02, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_glasso_is_permutation_equivariant(data, p, lam, seed):
+    # Relabelling the columns relabels the solution: glasso_fit(P S P') is
+    # P glasso_fit(S) P', up to the solver's sweep order.
+    sigma = random_correlation(p, np.random.default_rng(seed))
+    order = np.array(data.draw(st.permutations(range(p))))
+    theta = glasso_fit(sigma, lam)[np.ix_(order, order)]
+    permuted = glasso_fit(sigma[np.ix_(order, order)], lam)
+    np.testing.assert_array_equal(permuted != 0.0, theta != 0.0)
+    np.testing.assert_allclose(permuted, theta, rtol=0, atol=1e-8)
 
 
 class TestRic:
