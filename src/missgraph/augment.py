@@ -3,7 +3,9 @@
 An indicator is 1 where the parent cell is observed and 0 where it is missing.
 Fully observed and fully missing columns would yield constant indicators,
 which carry no correlation information, so they get none: their names are
-recorded in ``excluded_constant`` and the columns stay in the analysis.
+recorded in ``excluded_constant``.  A fully observed column stays in the
+analysis; a fully missing one cannot be imputed, and ``analyze_dataset``
+rejects it with ``UnimputableColumnError`` before the first member.
 """
 
 from __future__ import annotations

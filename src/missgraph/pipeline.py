@@ -39,7 +39,13 @@ from .dataset import (
     write_matrix_csv,
     write_outputs,
 )
-from .errors import ConfigError, ContractError, stage
+from .errors import (
+    ConfigError,
+    ContractError,
+    DegenerateColumnError,
+    UnimputableColumnError,
+    stage,
+)
 from .ggm import fit_precision, select_lambda_ric
 from .impute import hot_deck_impute, split_seed
 from .npn import nonparanormal_transform
@@ -224,6 +230,17 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
         transformed[:, shared] = transform(
             np.hstack([augmented.base.values, augmented.indicator_values]), shared
         )
+    # Hot-deck draws come only from a column's observed cells, so checking
+    # those once, before member 1, covers every member.
+    pools = [augmented.base.values[augmented.base.mask[:, j], j] for j in imputed]
+    with stage("impute"):
+        for j, pool in zip(imputed, pools):
+            if pool.size == 0:
+                raise UnimputableColumnError(names[j])
+    with stage("transform"):
+        for j, pool in zip(imputed, pools):
+            if pool.min() == pool.max():
+                raise DegenerateColumnError(names[j], "cannot be rank-transformed")
     fits = []
     lambdas = []
     # None: set by member 1's permutation null, then used for every member.

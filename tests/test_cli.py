@@ -351,6 +351,25 @@ class TestExitCodes:
         assert payload["stage"] == "transform"
         assert "'c'" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "cells, stage",
+        [(["5.0", "NA"] * 10, "transform"), (["NA"] * 20, "impute")],
+        ids=["constant-observed-cells", "all-missing"],
+    )
+    def test_unusable_imputed_column_is_numeric_error(
+        self, cells, stage, tmp_path, capsys
+    ):
+        data = tmp_path / "data.csv"
+        rows = "\n".join(f"{cell},{i},{i % 7}" for i, cell in enumerate(cells))
+        data.write_text("c,v,w\n" + rows + "\n")
+        code, _, err = run(
+            ["analyze", "--input", str(data), "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 4
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert (payload["kind"], payload["stage"]) == ("numeric", stage)
+        assert "'c'" in payload["message"]
+
     @staticmethod
     def writing_argv(command, out, tmp_path, mnar_run):
         spec = tmp_path / "spec.json"

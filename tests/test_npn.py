@@ -16,6 +16,7 @@ from missgraph import (
     simulate_dataset,
     winsorization_bound,
 )
+from missgraph.npn import normal_scores
 
 
 def transform_col(col):
@@ -29,6 +30,64 @@ def test_monotone_pretransform_is_invisible(rng):
     via_cube = transform_col(x**3)
     np.testing.assert_array_equal(direct, via_exp)
     np.testing.assert_array_equal(direct, via_cube)
+
+
+def reference_transform(matrix):
+    """The transform's definition, column by column, through scipy."""
+    n = matrix.shape[0]
+    delta = winsorization_bound(n)
+    out = np.empty_like(matrix)
+    for j in range(matrix.shape[1]):
+        r = stats.rankdata(matrix[:, j], method="average")
+        g = stats.norm.ppf(np.clip(r / (n + 1.0), delta, 1.0 - delta))
+        g = g - g.mean()
+        out[:, j] = g / g.std(ddof=1)
+    return out
+
+
+def exactness_columns(n, rng):
+    pool = rng.normal(size=6)
+    return np.column_stack(
+        [
+            rng.normal(size=n),  # continuous
+            rng.integers(0, 3, size=n).astype(float),  # heavily tied
+            np.tile([0.0, 1.0], n // 2),  # binary
+            rng.choice(pool, size=n, replace=True),  # hot-deck shape
+            np.tile([0.0, -0.0, 1.5, -2.0], n // 4),  # both zeros tie
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", [8, 20_000])
+def test_matches_rankdata_and_ppf_definition(n, rng):
+    matrix = exactness_columns(n, rng)
+    assert np.array_equal(
+        nonparanormal_transform(matrix).values, reference_transform(matrix)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([-3.5, -1.0, -0.0, 0.0, 0.25, 2.0, 1e300])
+        | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=8,
+        max_size=80,
+    ).filter(lambda xs: min(xs) != max(xs))
+)
+def test_matches_definition_on_tied_columns(xs):
+    matrix = np.asarray(xs)[:, None]
+    assert np.array_equal(
+        nonparanormal_transform(matrix).values, reference_transform(matrix)
+    )
+
+
+def test_normal_score_table_is_read_only():
+    table = normal_scores(20)
+    assert table.shape == (39,)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.0
 
 
 RANK_CONFIG = AnalysisConfig(n_imputations=3, seed=4)

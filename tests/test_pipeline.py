@@ -13,6 +13,7 @@ from missgraph import (
     MechanismSpec,
     MissingnessArc,
     ProfileRow,
+    UnimputableColumnError,
     VariableMeta,
     analyze_dataset,
     ar1_precision,
@@ -77,6 +78,41 @@ def test_constant_observed_column_fails_before_imputation(monkeypatch):
         analyze_dataset(dataset, CONFIG)
     assert info.value.column == "c"
     assert info.value.stage == "transform"
+
+
+def constant_observed_cells(column):
+    values = DATASET.values.copy()
+    values[DATASET.mask[:, column], column] = 5.0
+    return Dataset(metas=DATASET.metas, values=values, mask=DATASET.mask)
+
+
+def all_cells_missing(column):
+    values, mask = DATASET.values.copy(), DATASET.mask.copy()
+    values[:, column], mask[:, column] = np.nan, False
+    return Dataset(metas=DATASET.metas, values=values, mask=mask)
+
+
+@pytest.mark.parametrize(
+    "dataset, error, column, stage",
+    [
+        (constant_observed_cells(0), DegenerateColumnError, "a", "transform"),
+        (all_cells_missing(1), UnimputableColumnError, "b", "impute"),
+    ],
+    ids=["constant-observed-cells", "all-missing"],
+)
+def test_unusable_imputed_column_fails_before_imputation(
+    monkeypatch, dataset, error, column, stage
+):
+    # Every member draws a column's fills from its observed cells, so a
+    # column no member could impute or transform is rejected before member 1.
+    def no_impute(*args, **kwargs):
+        raise AssertionError("hot_deck_impute called before the column checks")
+
+    monkeypatch.setattr(missgraph.pipeline, "hot_deck_impute", no_impute)
+    with pytest.raises(error) as info:
+        analyze_dataset(dataset, CONFIG)
+    assert info.value.column == column
+    assert info.value.stage == stage
 
 
 def test_fully_observed_table_has_no_imputed_columns():
