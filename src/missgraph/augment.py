@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, VariableMeta, VarKind
+from .errors import SchemaError
 
 #: Suffix appended to a variable's name to form its indicator's name.
 INDICATOR_SUFFIX = "__observed"
@@ -65,7 +66,7 @@ def make_completeness_indicators(dataset: Dataset) -> AugmentedDataset:
     A variable contributes an indicator exactly when it has at least one
     missing and at least one observed entry; the indicator equals 1 where the
     mask is True.  Indicators are a pure function of the mask, never of the
-    values.
+    values.  An indicator named like a data column is a ``SchemaError``.
     """
     metas: list[VariableMeta] = []
     columns: list[np.ndarray] = []
@@ -74,9 +75,14 @@ def make_completeness_indicators(dataset: Dataset) -> AugmentedDataset:
         observed = dataset.mask[:, j]
         n_obs = int(observed.sum())
         if 0 < n_obs < dataset.n_rows:
+            name = indicator_name(meta.name)
+            if name in dataset.names:
+                raise SchemaError(
+                    f"column {name!r} clashes with the indicator of {meta.name!r}"
+                )
             metas.append(
                 VariableMeta(
-                    name=indicator_name(meta.name),
+                    name=name,
                     category=meta.category,
                     kind=VarKind.COMPLETENESS,
                     parent=meta.name,

@@ -20,7 +20,7 @@ from pathlib import Path
 from .dataset import write_csv, write_matrix_csv, write_outputs
 from .errors import ConfigError, MissgraphError, stage
 from .pipeline import AnalysisConfig, run_analysis
-from .report import EXPORT_FORMATS, AnalysisReport, export_graph
+from .report import EXPORT_FORMATS, AnalysisReport, export_graph, read_dataclass
 from .simulate import simulate_spec
 
 ENV_OUTDIR = "MISSGRAPH_OUTDIR"
@@ -104,7 +104,7 @@ def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
     for f in fields(AnalysisConfig):
         if getattr(args, f.name) is not None:
             merged[f.name] = getattr(args, f.name)
-    config = AnalysisConfig.from_dict(merged)
+    config = read_dataclass(AnalysisConfig, merged)
     config.out = _default_outdir(config.out)
     return config
 
@@ -146,7 +146,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     report = _read_json(args.report, "report")
     try:
         # Rendering reads every arc and variable field the file may lack.
-        rendered = export_graph(AnalysisReport.from_dict(report), args.format)
+        rendered = export_graph(AnalysisReport(**report), args.format)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"report {args.report} is not a valid report: {exc}") from exc
     if args.out is None:

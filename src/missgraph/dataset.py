@@ -16,7 +16,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -64,7 +64,8 @@ class VariableMeta:
             raise ValueError(f"observation variable {self.name!r} cannot have a parent")
 
 
-class ProfileRow(NamedTuple):
+@dataclass(frozen=True)
+class ProfileRow:
     name: str
     category: Category
     missing_proportion: float
@@ -169,7 +170,8 @@ def parse_csv(
 
     Parameters
     ----------
-    path : file to read; UTF-8, comma separated, header row first.
+    path : file to read; UTF-8 (a leading byte-order mark is skipped), comma
+        separated, header row first.
     na_tokens : cell texts, matched case-sensitively after trimming, that mark
         a missing cell.  Defaults to ``{"", "NA", "NaN", "null"}``.
     schema : optional map from variable name to :class:`Category`; unmapped
@@ -186,7 +188,7 @@ def parse_csv(
     na = frozenset(str(t) for t in na_tokens)
     if not path.is_file():
         raise ParseError(f"input file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

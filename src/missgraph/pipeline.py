@@ -13,15 +13,15 @@ nulls would estimate one quantity.
 Seeding: member k (1-based) imputes with ``split_seed(seed, k)``; the
 permutation null runs with ``split_seed(split_seed(seed, 1), RIC_STREAM)``,
 so the whole run is a pure function of (config, seed).
+
+A JSON config becomes an ``AnalysisConfig`` through ``report.read_dataclass``,
+and ``report.json_record`` writes every record of the report.
 """
 
 from __future__ import annotations
 
-import enum
 import time
-import types
-import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -96,96 +96,12 @@ class AnalysisConfig:
         if self.n_rotations < 1:
             raise ConfigError(f"n_rotations must be >= 1, got {self.n_rotations}")
 
-    @classmethod
-    def from_dict(cls, values: dict) -> AnalysisConfig:
-        """Build a config from a mapping keyed by field name (see read_dataclass)."""
-        return read_dataclass(cls, values)
-
     def to_dict(self) -> dict:
         """JSON form of every field but ``out``, so that reports written to
         different directories stay byte-identical."""
         record = json_record(self)
         del record["out"]
         return record
-
-
-# Field type -> (test of a JSON value, its name in error messages).
-_JSON_TYPES = {
-    Path: (lambda v: isinstance(v, (str, Path)), "a path string"),
-    float: (
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-        "a number",
-    ),
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    frozenset: (
-        lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
-        "a list of strings",
-    ),
-    list: (lambda v: isinstance(v, list), "a list"),
-    dict: (lambda v: isinstance(v, dict), "an object"),
-}
-
-
-def _json_type(kind):
-    """``_JSON_TYPES`` entry of a field type; a dataclass is read from an
-    object, an enum from one of its values."""
-    if is_dataclass(kind):
-        return _JSON_TYPES[dict]
-    if issubclass(kind, enum.Enum):
-        values = [member.value for member in kind]
-        return (lambda v: v in values, "one of " + ", ".join(values))
-    return _JSON_TYPES[kind]
-
-
-def read_dataclass(cls, values, what: str = "config"):
-    """Build dataclass ``cls`` from a parsed JSON object keyed by field name.
-
-    Each value must have its field's JSON type (``null`` only where the type
-    allows None); a non-object, an unknown or missing key or a wrong type is
-    a ConfigError whose message names ``what``.
-    """
-    if not isinstance(values, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {values!r}")
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(set(values) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
-    missing = [
-        f.name
-        for f in fields(cls)
-        if f.name not in values
-        and f.default is MISSING
-        and f.default_factory is MISSING
-    ]
-    if missing:
-        raise ConfigError(f"missing {what} keys: {', '.join(missing)}")
-    return cls(**{k: _coerce(k, hints[k], v, what) for k, v in values.items()})
-
-
-def _coerce(name: str, hint, value, what: str):
-    """Check ``value`` against the JSON type of field ``name`` and convert it."""
-    union = typing.get_origin(hint) is types.UnionType
-    options = typing.get_args(hint) if union else (hint,)
-    if value is None and type(None) in options:
-        return None
-    options = [o for o in options if o is not type(None)]
-    kinds = [typing.get_origin(o) or o for o in options]
-    for option, kind in zip(options, kinds):
-        if _json_type(kind)[0](value):
-            break
-    else:
-        described = " or ".join(_json_type(k)[1] for k in kinds)
-        raise ConfigError(f"{what} key {name!r} must be {described}, got {value!r}")
-    args = typing.get_args(option)
-    if is_dataclass(kind):
-        return read_dataclass(kind, value, name)
-    if kind is list:
-        return [_coerce(f"{name}[{i}]", args[0], v, what) for i, v in enumerate(value)]
-    if kind is dict:
-        return {k: _coerce(f"{name}.{k}", args[1], v, what) for k, v in value.items()}
-    return kind(value)
 
 
 @dataclass

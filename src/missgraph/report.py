@@ -1,7 +1,8 @@
-"""Analysis report container and its JSON / CSV / DOT renderings.
+"""Records to and from JSON, and the analysis report's renderings.
 
-The report is a plain data bag: every field is JSON-serializable as-is, so
-``AnalysisReport.from_json(report.to_json())`` reproduces the report exactly.
+``json_record`` writes a dataclass record as JSON, ``read_dataclass`` reads
+one back with every value's type checked.  The report is a plain data bag,
+so ``AnalysisReport(**json.loads(report.to_json()))`` reproduces it exactly.
 All volatile run information (wall-clock timestamp, elapsed seconds) lives
 under ``meta["runtime"]``; everything else is a pure function of config and
 seed, which is what makes repeated runs byte-comparable.
@@ -13,8 +14,10 @@ import csv
 import enum
 import io
 import json
-from dataclasses import dataclass, fields
-from pathlib import PurePath
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from pathlib import Path, PurePath
 
 from .errors import ConfigError
 
@@ -43,17 +46,13 @@ ARC_CSV_COLUMNS = (
 
 
 def json_record(record) -> dict:
-    """JSON form of a dataclass or named-tuple record, its fields in order.
+    """JSON form of a dataclass record, its fields in order.
 
-    Converts the other way round from ``pipeline.read_dataclass``: an enum
-    becomes its value, a path a string, a frozenset a sorted list and a
-    tuple a list.  Other values are kept as they are, not copied.
+    Converts the other way round from ``read_dataclass``: an enum becomes
+    its value, a path a string, a frozenset a sorted list and a tuple a
+    list.  Other values are kept as they are, not copied.
     """
-    if isinstance(record, tuple):
-        items = record._asdict()
-    else:
-        items = {f.name: getattr(record, f.name) for f in fields(record)}
-    return {name: _json_value(value) for name, value in items.items()}
+    return {f.name: _json_value(getattr(record, f.name)) for f in fields(record)}
 
 
 def _json_value(value):
@@ -66,6 +65,85 @@ def _json_value(value):
     if isinstance(value, tuple):
         return list(value)
     return value
+
+
+# Field type -> (test of a JSON value, its name in error messages).
+_JSON_TYPES = {
+    Path: (lambda v: isinstance(v, (str, Path)), "a path string"),
+    float: (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+        "a number",
+    ),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    frozenset: (
+        lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+        "a list of strings",
+    ),
+    list: (lambda v: isinstance(v, list), "a list"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def _json_type(kind):
+    """``_JSON_TYPES`` entry of a field type; a dataclass is read from an
+    object, an enum from one of its values."""
+    if is_dataclass(kind):
+        return _JSON_TYPES[dict]
+    if issubclass(kind, enum.Enum):
+        values = [member.value for member in kind]
+        return (lambda v: v in values, "one of " + ", ".join(values))
+    return _JSON_TYPES[kind]
+
+
+def read_dataclass(cls, values, what: str = "config"):
+    """Build dataclass ``cls`` from a parsed JSON object keyed by field name.
+
+    Each value must have its field's JSON type (``null`` only where the type
+    allows None); a non-object, an unknown or missing key or a wrong type is
+    a ConfigError whose message names ``what``.
+    """
+    if not isinstance(values, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {values!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(values) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.name not in values
+        and f.default is MISSING
+        and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigError(f"missing {what} keys: {', '.join(missing)}")
+    return cls(**{k: _coerce(k, hints[k], v, what) for k, v in values.items()})
+
+
+def _coerce(name: str, hint, value, what: str):
+    """Check ``value`` against the JSON type of field ``name`` and convert it."""
+    union = typing.get_origin(hint) is types.UnionType
+    options = typing.get_args(hint) if union else (hint,)
+    if value is None and type(None) in options:
+        return None
+    options = [o for o in options if o is not type(None)]
+    kinds = [typing.get_origin(o) or o for o in options]
+    for option, kind in zip(options, kinds):
+        if _json_type(kind)[0](value):
+            break
+    else:
+        described = " or ".join(_json_type(k)[1] for k in kinds)
+        raise ConfigError(f"{what} key {name!r} must be {described}, got {value!r}")
+    args = typing.get_args(option)
+    if is_dataclass(kind):
+        return read_dataclass(kind, value, name)
+    if kind is list:
+        return [_coerce(f"{name}[{i}]", args[0], v, what) for i, v in enumerate(value)]
+    if kind is dict:
+        return {k: _coerce(f"{name}.{k}", args[1], v, what) for k, v in value.items()}
+    return kind(value)
 
 
 @dataclass
@@ -82,19 +160,8 @@ class AnalysisReport:
     arcs: list[dict]
     mnar_findings: list[dict]
 
-    def to_dict(self) -> dict:
-        return json_record(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalysisReport":
-        return cls(**d)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        return cls.from_dict(json.loads(text))
+        return json.dumps(json_record(self), indent=2, ensure_ascii=False) + "\n"
 
     def observation_names(self) -> list[str]:
         return [v["name"] for v in self.variables if v["kind"] == "Observation"]

@@ -26,8 +26,8 @@ from .augment import indicator_name
 from .dataset import Category, Dataset, VariableMeta
 from .errors import ConfigError, ContractError, MissgraphError
 from .impute import split_seed
-from .pipeline import AnalysisConfig, analyze_dataset, read_dataclass
-from .report import json_record
+from .pipeline import AnalysisConfig, analyze_dataset
+from .report import json_record, read_dataclass
 
 
 class MechanismKind(str, enum.Enum):
@@ -60,13 +60,6 @@ class MechanismSpec:
             raise ContractError(f"{self.kind.value} mechanism takes no driver")
         if not np.isfinite(self.slope):
             raise ContractError("slope must be finite")
-
-    def to_dict(self) -> dict:
-        return json_record(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MechanismSpec":
-        return read_dataclass(cls, d, "mechanism")
 
 
 @dataclass(frozen=True)
@@ -105,18 +98,14 @@ class GroundTruth:
         return arcs - self.expected_arcs()
 
     def to_dict(self) -> dict:
+        """``truth.json``: a spec ``simulate_spec`` regenerates this truth from."""
         return {
             "names": list(self.names),
             "n": self.n,
             "seed": self.seed,
             "precision": self.precision.tolist(),
-            "mechanisms": [s.to_dict() for s in self.specs],
+            "mechanisms": [json_record(s) for s in self.specs],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroundTruth":
-        """The truth of ``simulate_spec(d)``: ``to_dict`` output is a spec."""
-        return simulate_spec(d)[1]
 
 
 @dataclass(frozen=True)

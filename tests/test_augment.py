@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from missgraph import (
+    SchemaError,
     VarKind,
     indicator_name,
     make_completeness_indicators,
@@ -19,6 +21,16 @@ def test_indicator_marks_present_cells():
     assert meta.parent == "v"
     assert meta.name == indicator_name("v")
     np.testing.assert_array_equal(aug.indicator_values[:, 0], [1.0, 0.0, 1.0])
+
+
+def test_data_column_named_like_an_indicator_is_schema_error():
+    # b is fully observed, so it gets no indicator and b__observed no clash
+    columns = {"b": [3.0, 4.0, 5.0], indicator_name("b"): [1.0, 0.0, 1.0]}
+    make_completeness_indicators(make_dataset(columns))
+    columns.update({"a": [1.0, None, 2.0], indicator_name("a"): [0.5, 0.1, 0.9]})
+    ds = make_dataset(columns)
+    with pytest.raises(SchemaError, match="'a__observed'.*'a'"):
+        make_completeness_indicators(ds)
 
 
 def test_fully_observed_column_is_excluded():

@@ -83,7 +83,7 @@ class TestAnalyze:
 
     def test_report_round_trips_through_json(self, mnar_run):
         text = (mnar_run / "report.json").read_text()
-        report = AnalysisReport.from_json(text)
+        report = AnalysisReport(**json.loads(text))
         assert report.to_json() == text
 
     def test_determinism_modulo_timestamps(self, tmp_path, capsys):
@@ -337,6 +337,69 @@ class TestExitCodes:
         assert payload["kind"] == "parse"
         assert payload["stage"] == "parse"
         assert "lab_valu" in payload["message"]
+
+    def test_column_named_like_an_indicator_is_parse_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_impute(*args, **kwargs):
+            raise AssertionError("a member was imputed before the name check")
+
+        monkeypatch.setattr(missgraph.pipeline, "hot_deck_impute", no_impute)
+        data = tmp_path / "data.csv"
+        rows = "\n".join(f"{'NA' if i % 4 else i},{i % 7},{i % 3}" for i in range(20))
+        data.write_text("a,b,a__observed\n" + rows + "\n")
+        code, _, err = run(
+            ["analyze", "--input", str(data), "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 3
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["kind"], payload["stage"]) == ("parse", "augment")
+        assert "'a__observed'" in payload["message"] and "'a'" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "case, content",
+        [
+            ("config", None),
+            ("config", "{alpha: 0.1}"),
+            ("config", "[1]"),
+            ("spec", "not json"),
+            ("report", "{"),
+            ("outdir", None),
+        ],
+        ids=[
+            "missing_config",
+            "config_not_json",
+            "config_not_object",
+            "spec_not_json",
+            "report_not_json",
+            "no_outdir",
+        ],
+    )
+    def test_unusable_json_file_is_config_error(
+        self, case, content, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv(missgraph.cli.ENV_OUTDIR, raising=False)
+        path = tmp_path / "file.json"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "out"
+        analyze = ["analyze", "--input", str(DATA / "mnar_example.csv")]
+        argv = {
+            "config": analyze + ["--config", str(path), "--out", str(out)],
+            "spec": ["simulate", "--spec", str(path), "--out", str(out)],
+            "report": ["export", "--report", str(path), "--format", "dot"],
+            "outdir": analyze,
+        }[case]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["kind"] == "config"
+        named = missgraph.cli.ENV_OUTDIR if case == "outdir" else str(path)
+        assert named in payload["message"]
 
     def test_constant_column_is_numeric_error(self, tmp_path, capsys):
         const = tmp_path / "const.csv"

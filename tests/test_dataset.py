@@ -103,6 +103,13 @@ class TestParseCsv:
         assert ds.metas[0].category is Category.VITAL_PHYSIOLOGY
         assert ds.metas[1].category is Category.DEMOGRAPHICS
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_bytes("\ufeffa,b\n1,NA\n2,3\n".encode("utf-8"))
+        ds = parse_csv(data, schema={"a": Category.BLOOD_TESTS})
+        assert ds.names == ["a", "b"]
+        assert ds.metas[0].category is Category.BLOOD_TESTS
+
     def test_schema_key_naming_no_column_rejected(self, tmp_path):
         data = write(tmp_path, "hr,age\n80,NA\n72,61\n")
         schema = {"hr": Category.VITAL_PHYSIOLOGY, "agee": Category.DEMOGRAPHICS}

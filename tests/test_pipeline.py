@@ -24,8 +24,8 @@ from missgraph import (
     simulate_dataset,
     split_seed,
 )
-from missgraph.pipeline import RIC_STREAM, read_dataclass
-from missgraph.report import ARC_FIELDS, json_record
+from missgraph.pipeline import RIC_STREAM
+from missgraph.report import ARC_FIELDS, json_record, read_dataclass
 
 CONFIG = AnalysisConfig(n_imputations=4, seed=9, n_rotations=5)
 # a and b are imputed (each gets an indicator), c is fully observed.

@@ -9,7 +9,6 @@ from missgraph import (
     AnalysisConfig,
     Category,
     ContractError,
-    GroundTruth,
     MechanismKind,
     MechanismSpec,
     ar1_precision,
@@ -18,7 +17,7 @@ from missgraph import (
     run_benchmark,
     simulate_dataset,
 )
-from missgraph.simulate import regenerate_dataset
+from missgraph.simulate import regenerate_dataset, simulate_spec
 
 from .conftest import residual_partial_corr
 
@@ -113,7 +112,7 @@ class TestSimulateDataset:
         prec = ar1_precision(3, 0.4)
         specs = [MechanismSpec(kind="MNAR", target="b", rate=0.2, slope=1.0)]
         ds, truth = simulate_dataset(prec, 500, ["a", "b", "c"], specs, seed=11)
-        rebuilt = GroundTruth.from_dict(truth.to_dict())
+        rebuilt = simulate_spec(truth.to_dict())[1]
         ds2 = regenerate_dataset(rebuilt)
         np.testing.assert_array_equal(ds.mask, ds2.mask)
         assert np.array_equal(ds.values, ds2.values, equal_nan=True)
