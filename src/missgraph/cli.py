@@ -85,7 +85,7 @@ def _default_outdir(flag_value: Path | None) -> Path:
 
 def _read_json(path: Path, what: str):
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -143,7 +143,7 @@ def _parse_cell(text: str, na_tokens: frozenset[str]) -> float:
 def load_schema(path: str | Path) -> dict[str, Category]:
     """Read a JSON file mapping variable name -> category name."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -10,8 +10,9 @@ is block diagonal over the connected components of the graph
 |Sigma_hat_ij| > lam, so a lone column gets 1 / Sigma_hat_ii and each larger
 component is solved on its own.  That solver is blockwise coordinate descent
 on the working covariance W = Theta^{-1}: one column of W is refreshed per
-inner lasso solve (active-set coordinate descent), sweeps repeat until W is
-stationary and the duality gap
+inner lasso solve (active-set coordinate descent), whose Gram matrix, W
+without that row and column, is read from W in place.  Sweeps repeat until W
+is stationary and the duality gap
 
     gap = trace(Sigma_hat @ Theta) - p + lam * ||Theta||_1,off
 
@@ -93,21 +94,23 @@ def correlation_matrix(t: TransformedMatrix | np.ndarray) -> np.ndarray:
 
 
 def _lasso_cd(
-    gram: np.ndarray, target: np.ndarray, lam: float, beta: np.ndarray
+    w: np.ndarray, j: int, target: np.ndarray, lam: float, beta: np.ndarray
 ) -> np.ndarray:
     """Active-set coordinate descent for 0.5*b'Gb - t'b + lam*|b|_1, warm-started.
 
-    A full pass over every coordinate picks the active set (the nonzero
-    coefficients); passes over that set alone follow until no step reaches
-    ``_INNER_TOL``, then a full pass checks the rest.  The solve ends when a
-    full pass moves no coefficient by ``_INNER_TOL`` or more, or after
+    G is ``w`` without row and column ``j``, read in place; ``target`` and
+    ``beta`` are indexed like ``w``, and ``beta[j]`` is 0 and never visited.
+    A full pass over every other coordinate picks the active set (the
+    nonzero coefficients); passes over that set alone follow until no step
+    reaches ``_INNER_TOL``, then a full pass checks the rest.  The solve ends
+    when a full pass moves no coefficient by ``_INNER_TOL`` or more, or after
     ``_INNER_MAX_ITER`` passes of either kind.
     """
-    grad = gram @ beta  # maintained as G @ beta
-    diag = gram.diagonal().tolist()
+    grad = w @ beta  # maintained as W @ beta; entry j is never read
+    diag = w.diagonal().tolist()
     target = target.tolist()
     beta = beta.tolist()
-    every = range(len(beta))
+    every = [*range(j), *range(j + 1, len(beta))]
     coords = every
     for _ in range(_INNER_MAX_ITER):
         max_step = 0.0
@@ -122,7 +125,7 @@ def _lasso_cd(
                 new = 0.0
             step = new - old
             if step != 0.0:
-                grad += step * gram[m]  # gram is symmetric: row m is column m
+                grad += step * w[m]  # w is symmetric: row m is column m
                 beta[m] = new
                 max_step = max(max_step, abs(step))
         if max_step < _INNER_TOL:
@@ -152,7 +155,7 @@ def glasso_fit(sigma_hat: np.ndarray, lam: float) -> np.ndarray:
     Parameters
     ----------
     sigma_hat : symmetric sample correlation/covariance matrix.
-    lam : penalty level, >= 0.  With lam = 0 the input must be invertible and
+    lam : finite penalty level, >= 0.  With lam = 0 the input must be invertible and
         the plain inverse is returned.
 
     Returns
@@ -166,7 +169,7 @@ def glasso_fit(sigma_hat: np.ndarray, lam: float) -> np.ndarray:
 
     Raises
     ------
-    ContractError for asymmetric input or lam < 0;
+    ContractError for asymmetric input or a negative or non-finite lam;
     ConvergenceError if a component does not converge within ``MAX_SWEEPS``
     sweeps.
     """
@@ -175,8 +178,10 @@ def glasso_fit(sigma_hat: np.ndarray, lam: float) -> np.ndarray:
         raise ContractError("sigma_hat must be square")
     if not np.allclose(sigma, sigma.T, atol=1e-10):
         raise ContractError("sigma_hat must be symmetric")
-    if lam < 0:
-        raise ContractError(f"lambda must be non-negative, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise ContractError(
+            f"lambda must be finite and non-negative, got {lam}"
+        )
     if lam == 0.0:
         try:
             theta = np.linalg.inv(sigma)
@@ -208,26 +213,24 @@ def _glasso_block(sigma: np.ndarray, lam: float, gap_tol: float) -> np.ndarray:
 
     One column of the working covariance W is refreshed per inner lasso
     solve; sweeps repeat until W moves by less than ``W_TOL`` and the
-    duality gap is at most ``gap_tol``.
+    duality gap is at most ``gap_tol``.  Row j of ``coef`` holds column j's
+    lasso coefficients, indexed like W with ``coef[j, j]`` = 0; the lasso
+    reads W in place and column j of W becomes ``W @ coef[j]`` off the
+    diagonal.
     """
     p = sigma.shape[0]
     w = sigma.copy()  # diagonal is unpenalized and never moves
-    betas = np.zeros((p, p - 1))
-    others = [np.array([i for i in range(p) if i != j]) for j in range(p)]
-    minors = [np.ix_(idx, idx) for idx in others]
+    coef = np.zeros((p, p))
     converged = False
     gap = np.inf
     for _ in range(MAX_SWEEPS):
         w_prev = w.copy()
         for j in range(p):
-            idx = others[j]
-            w11 = w[minors[j]]
-            s12 = sigma[idx, j]
-            beta = _lasso_cd(w11, s12, lam, betas[j])
-            betas[j] = beta
-            w12 = w11 @ beta
-            w[idx, j] = w12
-            w[j, idx] = w12
+            coef[j] = _lasso_cd(w, j, sigma[:, j], lam, coef[j])
+            w_j = w @ coef[j]
+            w_j[j] = w[j, j]
+            w[:, j] = w_j
+            w[j] = w_j
         delta = np.abs(w - w_prev).max()
         if delta < W_TOL:
             theta = _invert_spd(w)
@@ -242,9 +245,7 @@ def _glasso_block(sigma: np.ndarray, lam: float, gap_tol: float) -> np.ndarray:
         )
     # Exact zeros: an off-diagonal entry is active only if either of the two
     # column problems kept its coefficient.
-    active = np.zeros((p, p), dtype=bool)
-    for j in range(p):
-        active[others[j], j] = betas[j] != 0.0
+    active = coef != 0.0
     active |= active.T
     np.fill_diagonal(active, True)
     theta[~active] = 0.0
@@ -308,15 +309,12 @@ def select_lambda_ric(
     if n_rotations < 1:
         raise ContractError(f"n_rotations must be >= 1, got {n_rotations}")
     x = _as_matrix(t)
-    n, p = x.shape
+    p = x.shape[1]
     rng = np.random.default_rng(int(seed))
     maxima = np.empty(n_rotations)
     off = ~np.eye(p, dtype=bool)
     for r in range(n_rotations):
-        permuted = np.empty_like(x)
-        for j in range(p):
-            permuted[:, j] = x[rng.permutation(n), j]
-        c = correlation_matrix(permuted)
+        c = correlation_matrix(rng.permuted(x, axis=0))
         maxima[r] = np.abs(c[off]).max()
     return float(maxima.mean())
 

@@ -89,9 +89,10 @@ class AnalysisConfig:
             raise ConfigError(
                 f"n_imputations must be >= 1, got {self.n_imputations}"
             )
-        if self.lambda_value is not None and self.lambda_value < 0:
+        if self.lambda_value is not None and not 0 <= self.lambda_value < np.inf:
             raise ConfigError(
-                f"lambda_value must be >= 0, got {self.lambda_value}"
+                f"lambda_value must be a finite number >= 0,"
+                f" got {self.lambda_value}"
             )
         if self.n_rotations < 1:
             raise ConfigError(f"n_rotations must be >= 1, got {self.n_rotations}")

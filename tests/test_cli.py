@@ -153,6 +153,20 @@ class TestAnalyze:
         assert report["meta"]["config"]["seed"] == 5  # config file beats default
         assert report["meta"]["config"]["n_imputations"] == 2
 
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        text = json.dumps(
+            {"input": str(DATA / "mcar_example.csv"), "seed": 5, "n_imputations": 2}
+        )
+        cfg.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        code, _, _ = run(
+            ["analyze", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["meta"]["config"]["seed"] == 5
+
     def test_outdir_from_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MISSGRAPH_OUTDIR", str(tmp_path / "envout"))
         code, _, _ = run(
@@ -252,6 +266,25 @@ class TestExitCodes:
         lines = err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["kind"] == "config"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_is_config_error(self, value, tmp_path, capsys):
+        code, _, err = run(
+            [
+                "analyze",
+                "--input", str(DATA / "mcar_example.csv"),
+                "--out", str(tmp_path / "out"),
+                "--lambda-value", value,
+            ],
+            capsys,
+        )
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["kind"] == "config"
+        assert "finite" in payload["message"]
         assert not (tmp_path / "out").exists()
 
     def test_sweep_budget_is_convergence_error(self, tmp_path, capsys, monkeypatch):
@@ -571,6 +604,16 @@ class TestSimulate:
         truth = json.loads((out / "truth.json").read_text())
         assert truth["mechanisms"][0]["kind"] == "MNAR"
         assert truth["mechanisms"][0]["target"] == "a"
+
+    def test_spec_file_with_byte_order_mark(self, tmp_path, capsys):
+        spec = self.spec_file(
+            tmp_path, [{"kind": "MCAR", "target": "a", "rate": 0.2}], n=200
+        )
+        spec.write_bytes(b"\xef\xbb\xbf" + spec.read_bytes())
+        out = tmp_path / "sim"
+        code, _, _ = run(["simulate", "--spec", str(spec), "--out", str(out)], capsys)
+        assert code == 0
+        assert json.loads((out / "truth.json").read_text())["n"] == 200
 
     def test_invalid_spec_lists_missing_fields(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -116,6 +116,11 @@ class TestParseCsv:
         with pytest.raises(SchemaError, match="agee"):
             parse_csv(data, schema=schema)
 
+    def test_schema_file_with_byte_order_mark(self, tmp_path):
+        schema = tmp_path / "schema.json"
+        schema.write_bytes(b"\xef\xbb\xbf" + b'{"hr": "VitalPhysiology"}')
+        assert load_schema(schema) == {"hr": Category.VITAL_PHYSIOLOGY}
+
     def test_schema_unknown_category(self, tmp_path):
         schema = write(tmp_path, '{"hr": "Nonsense"}', name="schema.json")
         with pytest.raises(SchemaError, match="unknown category"):

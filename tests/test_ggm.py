@@ -124,6 +124,11 @@ class TestGlasso:
         with pytest.raises(ContractError, match="non-negative"):
             glasso_fit(np.eye(2), -0.1)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ContractError, match="finite"):
+            glasso_fit(np.eye(2), lam)
+
     def test_sweep_budget_exhausted_raises(self, rng, monkeypatch):
         monkeypatch.setattr(missgraph.ggm, "MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError, match="within 1 sweeps"):
@@ -132,11 +137,18 @@ class TestGlasso:
     def test_inner_lasso_meets_its_optimality_conditions(self, rng):
         # 0.5*b'Gb - t'b + lam*|b|_1: t - Gb = lam*sign(b) where b != 0 and
         # |t - Gb| <= lam where b == 0, whatever the active set started as.
-        gram = random_correlation(30, rng)
+        # G is w without row and column j; coordinate j stays 0.
+        w, j = random_correlation(31, rng), 7
+        others = np.delete(np.arange(31), j)
+        gram = w[np.ix_(others, others)]
         target = gram @ (rng.standard_normal(30) * (rng.random(30) < 0.3))
         for lam in (0.01, 0.1, 0.5):
             for start in (np.zeros(30), rng.standard_normal(30)):
-                beta = missgraph.ggm._lasso_cd(gram, target, lam, start)
+                beta = missgraph.ggm._lasso_cd(
+                    w, j, np.insert(target, j, 1.0), lam, np.insert(start, j, 0.0)
+                )
+                assert beta[j] == 0.0
+                beta = beta[others]
                 resid = target - gram @ beta
                 on = beta != 0.0
                 np.testing.assert_allclose(
@@ -239,6 +251,30 @@ class TestRic:
         ]
         ks = stats.ks_2samp(lams_dep, lams_ind)
         assert ks.pvalue > 0.01
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 12345])
+    def test_draws_match_one_permutation_per_column(self, seed, rng):
+        # Reference: every column shuffled by its own rng.permutation(n), in
+        # column order, from one generator.  Ties and 0/1 columns included.
+        n = 40
+        x = np.column_stack(
+            [
+                rng.standard_normal(n),
+                rng.integers(0, 2, n).astype(float),
+                rng.integers(0, 4, n).astype(float),
+                np.repeat([0.0, 1.0], n // 2),
+            ]
+        )
+        ref = np.random.default_rng(seed)
+        off = ~np.eye(4, dtype=bool)
+        maxima = []
+        for _ in range(5):
+            permuted = np.empty_like(x)
+            for j in range(4):
+                permuted[:, j] = x[ref.permutation(n), j]
+            maxima.append(np.abs(correlation_matrix(permuted)[off]).max())
+        expected = float(np.mean(maxima))
+        assert select_lambda_ric(x, n_rotations=5, seed=seed) == expected
 
     def test_needs_at_least_one_rotation(self, rng):
         with pytest.raises(ContractError):
