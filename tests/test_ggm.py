@@ -61,6 +61,12 @@ class TestCorrelationMatrix:
         with pytest.raises(DegenerateColumnError):
             correlation_matrix(np.column_stack([np.ones(10), np.arange(10.0)]))
 
+    def test_constant_column_with_inexact_mean_rejected(self):
+        # 5000 copies of 0.1: the mean rounds, so the float std is not 0.
+        x = np.column_stack([np.arange(5000.0), np.full(5000, 0.1)])
+        with pytest.raises(DegenerateColumnError, match="#1"):
+            correlation_matrix(x)
+
 
 class TestGlasso:
     def test_identity_stays_identity(self):
@@ -143,8 +149,13 @@ class TestGlasso:
         gram = w[np.ix_(others, others)]
         target = gram @ (rng.standard_normal(30) * (rng.random(30) < 0.3))
         for lam in (0.01, 0.1, 0.5):
-            for start in (np.zeros(30), rng.standard_normal(30)):
-                beta = missgraph.ggm._lasso_cd(
+            exact = missgraph.ggm._lasso_active_set(
+                w, j, np.insert(target, j, 1.0), lam, np.zeros(31)
+            )[others]
+            # Every nonzero starts with the wrong sign: the walk back runs.
+            flipped = -np.sign(exact) * rng.uniform(0.5, 2.0, size=30)
+            for start in (np.zeros(30), rng.standard_normal(30), flipped):
+                beta = missgraph.ggm._lasso_active_set(
                     w, j, np.insert(target, j, 1.0), lam, np.insert(start, j, 0.0)
                 )
                 assert beta[j] == 0.0
@@ -155,6 +166,21 @@ class TestGlasso:
                     resid[on], lam * np.sign(beta[on]), rtol=0, atol=1e-9
                 )
                 assert np.all(np.abs(resid[~on]) <= lam + 1e-9)
+
+    def test_inner_lasso_step_budget_exhausted_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(missgraph.ggm, "_LASSO_MAX_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="within 1 steps"):
+            glasso_fit(random_correlation(6, rng), 0.1)
+
+    def test_inner_lasso_gram_not_positive_definite_raises(self):
+        # The Gram of column 0, [[1, 1.5], [1.5, 1]], is indefinite; the warm
+        # start makes both of its coordinates active, so the first Cholesky
+        # solve fails.
+        w = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 1.5], [0.5, 1.5, 1.0]])
+        with pytest.raises(ConvergenceError, match="positive definiteness"):
+            missgraph.ggm._lasso_active_set(
+                w, 0, w[:, 0], 0.1, np.array([0.0, 0.2, 0.2])
+            )
 
     def test_screening_solves_each_component_exactly(self, rng):
         # Components of |S| > lam: a singleton, a 2x2 pair and an AR(1) run of
