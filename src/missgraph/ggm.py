@@ -109,31 +109,42 @@ def _lasso_active_set(
     segment towards x to the first zero crossing and drops the coordinates
     that reach zero; the objective falls strictly.  Otherwise b = x, and the
     inactive coordinate with the largest ``|t_i - W[i, A] b| > lam`` joins A
-    with that sign; the solve ends when there is none.  An added coordinate
-    that comes out of its first solve with the wrong sign violated its bound
-    by rounding only, so it is dropped and the solve ends.
+    with that sign; the solve ends when there is none.
+
+    Each step lowers the objective strictly in exact arithmetic, so a step
+    that does not is decided by rounding, and the solve ends there.  That
+    happens with duplicate columns, as two variables with the same
+    missingness mask give: the copy of an active coordinate violates its
+    bound by rounding only, and would otherwise trade places with it for
+    ever.  An added coordinate that makes ``W[A, A]`` singular lies
+    numerically in the span of A, whose last solve succeeded, and one that
+    comes out of its first solve with the wrong sign violated its bound by
+    rounding only: either is dropped and the solve ends.  The outer sweep's
+    stationarity and gap tests cover what such an end leaves.
     """
     active = beta.nonzero()[0]
     b = beta[active]
     sign = np.sign(b)
     added = False
+    best = -np.inf  # -2 * objective at the last sign-consistent solution
     for _ in range(_LASSO_MAX_STEPS):
         rows = w.take(active, axis=0)  # W[A, :]
         if active.size:
+            rhs = target[active] - lam * sign
             # W[A, A] is symmetric: its transpose is the same matrix in the
             # Fortran order LAPACK reads, so it is not copied again.
             _, x, info = dposv(
-                rows.take(active, axis=1).T,
-                target[active] - lam * sign,
-                overwrite_a=True,
-                overwrite_b=True,
+                rows.take(active, axis=1).T, rhs, overwrite_a=True
             )
-            if info > 0:
+            if info > 0 and not added:
                 raise ConvergenceError(
                     "working covariance lost positive definiteness"
                 )
             cross = (x * sign <= 0.0).nonzero()[0]
-            if added and cross.size and cross[-1] == active.size - 1:
+            degenerate = info > 0 or (
+                cross.size and cross[-1] == active.size - 1
+            )
+            if added and degenerate:
                 active, b = active[:-1], b[:-1]
                 break
             added = False
@@ -145,6 +156,11 @@ def _lasso_active_set(
                 keep = b * sign > 0.0
                 active, b, sign = active[keep], b[keep], sign[keep]
                 continue
+            # x solves the problem on A, where the objective is -x'rhs/2.
+            value = x.dot(rhs)
+            if value <= best:
+                break
+            best = value
             b = x
         resid = target - b @ rows
         resid[active] = 0.0

@@ -182,6 +182,61 @@ class TestGlasso:
                 w, 0, w[:, 0], 0.1, np.array([0.0, 0.2, 0.2])
             )
 
+    def test_inner_lasso_duplicate_coordinates(self):
+        # Copies of a coordinate make the Gram singular: once one copy is
+        # active, the other violates its bound by rounding at most.  Adding
+        # it must neither fail the Cholesky solve nor trade the copies' places
+        # for ever, and the optimality conditions still hold.
+        cases = [
+            (np.array([[1.0, r, r], [r, 1.0, 1.0], [r, 1.0, 1.0]]), lam)
+            for r, lam in ((0.45, 0.1), (0.7, 0.05), (0.3, 0.01))
+        ]
+        for seed in range(100):
+            draw = np.random.default_rng(seed)
+            x = draw.standard_normal((200, 1)) + draw.standard_normal((200, 4))
+            w = np.corrcoef(np.hstack([x, x[:, 3:]]), rowvar=False)
+            cases.append((w, float(draw.choice([0.01, 0.05, 0.1, 0.2]))))
+        for w, lam in cases:
+            beta = missgraph.ggm._lasso_active_set(
+                w, 0, w[:, 0], lam, np.zeros(len(w))
+            )[1:]
+            resid = w[1:, 0] - w[1:, 1:] @ beta
+            on = beta != 0.0
+            np.testing.assert_allclose(
+                resid[on], lam * np.sign(beta[on]), rtol=0, atol=1e-9
+            )
+            assert np.all(np.abs(resid[~on]) <= lam + 1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2])
+    def test_duplicate_columns(self, lam, rng):
+        # Variables with the same missingness mask get identical indicator
+        # columns, and a column's affine copy correlates like it: the sample
+        # correlation is singular and the column lassos see copies of their
+        # active coordinates.  No step may divide 0 by 0 on the way.
+        mask = (rng.random((300, 1)) < 0.3).astype(float)
+        base = (
+            rng.uniform(0.2, 1.5, 6) * rng.standard_normal((300, 1))
+            + rng.standard_normal((300, 6))
+            + mask * rng.uniform(0.0, 1.0, 6)
+        )
+        x = np.hstack([base, 3.0 * base[:, :2] + 1.0, mask, mask, mask])
+        sigma = np.corrcoef(x, rowvar=False)
+        theta = glasso_fit(sigma, lam)
+        assert np.linalg.eigvalsh(theta).min() > 0.0
+        cert = kkt_certificate(sigma, theta, lam)
+        assert cert["off_support_violation"] <= 1e-6
+        assert cert["on_support_deviation"] <= 1e-6
+        assert abs(cert["duality_gap"]) <= 1e-6
+        # The solution is unique and swapping two copies leaves sigma as it
+        # is, so it leaves theta as it is too.
+        for a, b in ((0, 6), (1, 7), (8, 9), (9, 10)):
+            swap = np.arange(11)
+            swap[[a, b]] = [b, a]
+            np.testing.assert_allclose(
+                theta[np.ix_(swap, swap)], theta, rtol=0, atol=1e-6
+            )
+
     def test_screening_solves_each_component_exactly(self, rng):
         # Components of |S| > lam: a singleton, a 2x2 pair and an AR(1) run of
         # five; every entry between components is nonzero but below lam.

@@ -115,6 +115,26 @@ def test_unusable_imputed_column_fails_before_imputation(
     assert info.value.stage == stage
 
 
+def test_variables_sharing_a_missingness_mask():
+    # a and b go missing together, so their indicators are identical columns
+    # and the sample correlation of every member is singular.
+    dataset, _ = simulate_dataset(
+        ar1_precision(4, 0.5),
+        400,
+        ["a", "b", "c", "d"],
+        [MechanismSpec(kind="MNAR", target="a", rate=0.3, slope=1.5)],
+        seed=0,
+    )
+    mask = dataset.mask.copy()
+    mask[:, 1] = mask[:, 0]
+    values = np.where(mask, dataset.values, np.nan)
+    shared = Dataset(metas=dataset.metas, values=values, mask=mask)
+    augmented = make_completeness_indicators(shared)
+    np.testing.assert_array_equal(*augmented.indicator_values.T)
+    result = analyze_dataset(shared, CONFIG)
+    assert len(result.lambdas) == CONFIG.n_imputations
+
+
 def test_fully_observed_table_has_no_imputed_columns():
     rng = np.random.default_rng(0)
     dataset = Dataset(
