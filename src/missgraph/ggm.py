@@ -39,7 +39,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 from scipy.linalg.lapack import dposv
 from scipy.sparse.csgraph import connected_components
 
@@ -50,6 +50,7 @@ W_TOL = 1e-7  # max absolute change of W per sweep to declare stationarity
 GAP_TOL = 1e-6  # duality gap certificate
 MAX_SWEEPS = 10_000
 _LASSO_MAX_STEPS = 10_000  # add/drop steps per inner lasso solve
+_JOIN_MARGIN = 1e-12  # violation, relative to w[j, j], below which none joins
 _CLAMP_WARN = 1e-6
 
 
@@ -107,26 +108,24 @@ def _lasso_active_set(
     2006).  Each step solves ``W[A, A] x = t[A] - lam*s`` by one Cholesky
     solve.  If some coefficient of x has the wrong sign, b moves along the
     segment towards x to the first zero crossing and drops the coordinates
-    that reach zero; the objective falls strictly.  Otherwise b = x, and the
-    inactive coordinate with the largest ``|t_i - W[i, A] b| > lam`` joins A
-    with that sign; the solve ends when there is none.
+    that reach zero.  Otherwise b = x, and the inactive coordinate with the
+    largest ``|t_i - W[i, A] b|`` joins A with that sign if that exceeds
+    ``lam`` by more than ``_JOIN_MARGIN * w[j, j]``; the solve ends when
+    none does.
 
-    Each step lowers the objective strictly in exact arithmetic, so a step
-    that does not is decided by rounding, and the solve ends there.  That
-    happens with duplicate columns, as two variables with the same
-    missingness mask give: the copy of an active coordinate violates its
-    bound by rounding only, and would otherwise trade places with it for
-    ever.  An added coordinate that makes ``W[A, A]`` singular lies
-    numerically in the span of A, whose last solve succeeded, and one that
-    comes out of its first solve with the wrong sign violated its bound by
-    rounding only: either is dropped and the solve ends.  The outer sweep's
-    stationarity and gap tests cover what such an end leaves.
+    The margin keeps out a coordinate that violates its bound by rounding
+    only, as the copy of an active coordinate does: two variables with the
+    same missingness mask give duplicate columns.  A near-copy can still
+    pass it and make ``W[A, A]`` numerically singular; since the set before
+    it factorized, that coordinate lies in the span of A, so it is dropped
+    and the solve ends.  A failed solve on a set that did not just grow
+    raises, and so does the step budget.
     """
     active = beta.nonzero()[0]
     b = beta[active]
     sign = np.sign(b)
     added = False
-    best = -np.inf  # -2 * objective at the last sign-consistent solution
+    bound = lam + _JOIN_MARGIN * w[j, j]
     for _ in range(_LASSO_MAX_STEPS):
         rows = w.take(active, axis=0)  # W[A, :]
         if active.size:
@@ -136,18 +135,15 @@ def _lasso_active_set(
             _, x, info = dposv(
                 rows.take(active, axis=1).T, rhs, overwrite_a=True
             )
-            if info > 0 and not added:
-                raise ConvergenceError(
-                    "working covariance lost positive definiteness"
-                )
-            cross = (x * sign <= 0.0).nonzero()[0]
-            degenerate = info > 0 or (
-                cross.size and cross[-1] == active.size - 1
-            )
-            if added and degenerate:
+            if info > 0:
+                if not added:
+                    raise ConvergenceError(
+                        "working covariance lost positive definiteness"
+                    )
                 active, b = active[:-1], b[:-1]
                 break
             added = False
+            cross = (x * sign <= 0.0).nonzero()[0]
             if cross.size:
                 ratio = b[cross] / (b[cross] - x[cross])  # in (0, 1]
                 first = ratio.argmin()
@@ -156,17 +152,12 @@ def _lasso_active_set(
                 keep = b * sign > 0.0
                 active, b, sign = active[keep], b[keep], sign[keep]
                 continue
-            # x solves the problem on A, where the objective is -x'rhs/2.
-            value = x.dot(rhs)
-            if value <= best:
-                break
-            best = value
             b = x
         resid = target - b @ rows
         resid[active] = 0.0
         resid[j] = 0.0
         worst = np.abs(resid).argmax()
-        if abs(resid[worst]) <= lam:
+        if abs(resid[worst]) <= bound:
             break
         active = np.concatenate((active, [worst]))
         b = np.concatenate((b, [0.0]))
@@ -295,7 +286,7 @@ def _glasso_block(sigma: np.ndarray, lam: float, gap_tol: float) -> np.ndarray:
     active |= active.T
     np.fill_diagonal(active, True)
     theta[~active] = 0.0
-    return (theta + theta.T) / 2.0
+    return theta
 
 
 def _invert_spd(w: np.ndarray) -> np.ndarray:
@@ -394,7 +385,7 @@ def desparsify(
     edge_sd = np.sqrt(np.outer(d, d) + theta**2)
     z = np.sqrt(n) * t_hat / edge_sd
     np.fill_diagonal(z, 0.0)
-    p_values = 2.0 * stats.norm.sf(np.abs(z))
+    p_values = 2.0 * special.ndtr(-np.abs(z))
     np.fill_diagonal(p_values, 1.0)
     return t_hat, edge_sd, z, p_values
 

@@ -17,8 +17,9 @@ which gives twice each cell's mid-rank as the integer
 ``count[dense] + count[dense - 1] + 1`` (the rule of
 ``scipy.stats.rankdata(method="average")``, with ``count`` the start of each
 run of equal values and ``dense`` the run number), and one table lookup.  The
-result equals ``stats.norm.ppf`` of the Winsorized ``rankdata / (n + 1)``,
-bit for bit.
+table is ``special.ndtri``, the function ``stats.norm.ppf`` evaluates, of the
+Winsorized ``rankdata / (n + 1)``, so the result equals the rank-then-ppf
+route bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ContractError, DegenerateColumnError
 
@@ -41,11 +42,11 @@ def winsorization_bound(n: int) -> float:
 @lru_cache(maxsize=16)
 def normal_scores(n: int) -> np.ndarray:
     """Read-only normal score of each mid-rank ``r = 1, 1.5, ..., n`` of an
-    n-row column: entry ``2r - 2`` is ``norm.ppf(clip(r / (n + 1), d, 1 - d))``
+    n-row column: entry ``2r - 2`` is ``ndtri(clip(r / (n + 1), d, 1 - d))``
     with ``d = winsorization_bound(n)``."""
     delta = winsorization_bound(n)
     ranks = np.arange(2, 2 * n + 1) * 0.5
-    table = stats.norm.ppf(np.clip(ranks / (n + 1.0), delta, 1.0 - delta))
+    table = special.ndtri(np.clip(ranks / (n + 1.0), delta, 1.0 - delta))
     table.flags.writeable = False
     return table
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .dataset import VariableMeta, VarKind
 from .errors import ContractError
@@ -160,7 +160,7 @@ def edge_p_values(table: PooledEdgeTable) -> PooledEdgeTable:
     dof = table.n - (p_vars - 2) - 3
     z = np.arctanh(table.pooled_rho, where=~np.eye(p_vars, dtype=bool),
                    out=np.zeros((p_vars, p_vars))) * math.sqrt(dof)
-    p = 2.0 * stats.norm.sf(np.abs(z))
+    p = 2.0 * special.ndtr(-np.abs(z))
     np.fill_diagonal(p, 1.0)
     return replace(table, p_value=p)
 

@@ -2,6 +2,9 @@ import csv
 import errno
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -856,3 +859,16 @@ class TestExport:
                 ]
             )
         assert exc.value.code == 2
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # The package calls scipy.special directly; scipy.stats, which takes
+    # about a second to import, is only the tests' oracle.
+    src = str(Path(missgraph.cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = "import sys, missgraph.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

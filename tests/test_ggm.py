@@ -207,6 +207,28 @@ class TestGlasso:
             )
             assert np.all(np.abs(resid[~on]) <= lam + 1e-9)
 
+    @pytest.mark.parametrize("seed", [62, 104, 168, 0, 1, 2, 3])
+    def test_inner_lasso_near_copy_coordinates(self, seed):
+        # A near-copy of the last column: its correlation with that column
+        # can round to exactly 1 (seeds 62, 104 and 168), so the copy may
+        # pass the join margin and make the Gram singular when it is added.
+        # It is then dropped, and the optimality conditions still hold.
+        draw = np.random.default_rng(seed)
+        p = draw.integers(3, 8)
+        x = draw.standard_normal((200, 1)) + draw.standard_normal((200, p))
+        noise = 10 ** draw.uniform(-9, -3) * draw.standard_normal((200, 1))
+        w = correlation_matrix(np.hstack([x, x[:, -1:] + noise]))
+        lam = float(draw.choice([0.01, 0.05, 0.1, 0.2]))
+        beta = missgraph.ggm._lasso_active_set(
+            w, 0, w[:, 0], lam, np.zeros(len(w))
+        )[1:]
+        resid = w[1:, 0] - w[1:, 1:] @ beta
+        on = beta != 0.0
+        np.testing.assert_allclose(
+            resid[on], lam * np.sign(beta[on]), rtol=0, atol=1e-9
+        )
+        assert np.all(np.abs(resid[~on]) <= lam + 1e-9)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2])
     def test_duplicate_columns(self, lam, rng):
