@@ -18,8 +18,13 @@ is stationary and the duality gap
 
     gap = trace(Sigma_hat @ Theta) - p + lam * ||Theta||_1,off
 
-falls below tolerance.  Sparse estimates are biased by the penalty, so
-edge-level inference uses the de-biased matrix
+falls below tolerance.  A solve may start from another precision estimate,
+such as a previous member's: W then starts at Sigma_hat moved towards its
+inverse by at most lam per entry, a point inside the dual box
+|W - Sigma_hat| <= lam where coordinate descent keeps W positive definite
+(Banerjee, El Ghaoui & d'Aspremont 2008), and each lasso starts from the
+coefficients that estimate implies.  Sparse estimates are biased by the
+penalty, so edge-level inference uses the de-biased matrix
 
     T = 2*Theta - Theta @ Sigma_hat @ Theta
 
@@ -58,18 +63,25 @@ _CLAMP_WARN = 1e-6
 class PrecisionFit:
     """The part of one member's fit that pooling reads.
 
-    ``partial_corr`` is derived from the de-biased precision; ``support`` is
-    the boolean off-diagonal support of the sparse penalized estimate; ``n``
-    is the sample count.
+    ``partial_corr`` is derived from the de-biased precision; ``theta`` is
+    the sparse penalized estimate, from which the next members' solves can
+    start; ``n`` is the sample count.
     """
 
     partial_corr: np.ndarray
-    support: np.ndarray
+    theta: np.ndarray
     n: int
 
     @property
     def p(self) -> int:
         return self.partial_corr.shape[0]
+
+    @property
+    def support(self) -> np.ndarray:
+        """Boolean off-diagonal support of ``theta``."""
+        support = self.theta != 0.0
+        np.fill_diagonal(support, False)
+        return support
 
 
 def _as_matrix(t) -> np.ndarray:
@@ -78,11 +90,8 @@ def _as_matrix(t) -> np.ndarray:
     return np.asarray(t, dtype=float)
 
 
-def correlation_matrix(t: TransformedMatrix | np.ndarray) -> np.ndarray:
-    """Pearson correlation of the columns: symmetric, unit diagonal, in [-1, 1].
-
-    Raises DegenerateColumnError if any column is constant.
-    """
+def _varying_columns(t: TransformedMatrix | np.ndarray) -> np.ndarray:
+    """The matrix of ``t``; raises DegenerateColumnError on a constant column."""
     x = _as_matrix(t)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ContractError("need a 2-D matrix with at least 2 rows")
@@ -90,6 +99,20 @@ def correlation_matrix(t: TransformedMatrix | np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~(x != x[0]).any(axis=0))
     if bad.size:
         raise DegenerateColumnError(f"#{bad[0]}", "has zero variance")
+    return x
+
+
+def correlation_matrix(t: TransformedMatrix | np.ndarray) -> np.ndarray:
+    """Pearson correlation of the columns: symmetric, unit diagonal, in [-1, 1].
+
+    Raises DegenerateColumnError if any column is constant.
+    """
+    return _correlation(_varying_columns(t))
+
+
+def _correlation(x: np.ndarray) -> np.ndarray:
+    """``correlation_matrix`` of a matrix already known to have no constant
+    column."""
     c = np.corrcoef(x, rowvar=False)
     c = np.clip((c + c.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(c, 1.0)
@@ -178,7 +201,9 @@ def duality_gap(sigma_hat: np.ndarray, theta: np.ndarray, lam: float) -> float:
     return float(np.sum(sigma_hat * theta) - theta.shape[0] + lam * off_l1)
 
 
-def glasso_fit(sigma_hat: np.ndarray, lam: float) -> np.ndarray:
+def glasso_fit(
+    sigma_hat: np.ndarray, lam: float, start: np.ndarray | None = None
+) -> np.ndarray:
     """Solve the off-diagonal-penalized sparse precision problem.
 
     The problem splits exactly along the connected components of the graph
@@ -193,6 +218,10 @@ def glasso_fit(sigma_hat: np.ndarray, lam: float) -> np.ndarray:
     sigma_hat : symmetric sample correlation/covariance matrix.
     lam : finite penalty level, >= 0.  With lam = 0 the input must be invertible and
         the plain inverse is returned.
+    start : optional symmetric positive-definite precision of the same shape,
+        such as the estimate of a similar ``sigma_hat``, to start from (see
+        ``_block_start``).  The answer is the same optimum to the solver's
+        tolerance; only the path to it is shorter.
 
     Returns
     -------
@@ -205,10 +234,11 @@ def glasso_fit(sigma_hat: np.ndarray, lam: float) -> np.ndarray:
 
     Raises
     ------
-    ContractError for asymmetric input or a negative or non-finite lam;
-    ConvergenceError if a component does not converge within ``MAX_SWEEPS``
-    sweeps, a column's lasso exceeds its step budget, or the working
-    covariance loses positive definiteness.
+    ContractError for asymmetric input, a negative or non-finite lam, or a
+    ``start`` of the wrong shape, non-finite, asymmetric or not positive
+    definite; ConvergenceError if a component does not converge within
+    ``MAX_SWEEPS`` sweeps, a column's lasso exceeds its step budget, or the
+    working covariance loses positive definiteness.
     """
     sigma = np.asarray(sigma_hat, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -219,6 +249,20 @@ def glasso_fit(sigma_hat: np.ndarray, lam: float) -> np.ndarray:
         raise ContractError(
             f"lambda must be finite and non-negative, got {lam}"
         )
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        w_start = None
+        if (
+            start.shape == sigma.shape
+            and np.isfinite(start).all()
+            and np.allclose(start, start.T, atol=1e-10)
+        ):
+            w_start = _spd_inverse(start)
+        if w_start is None:
+            raise ContractError(
+                f"start must be a finite, symmetric, positive-definite"
+                f" {sigma.shape} matrix"
+            )
     if lam == 0.0:
         try:
             theta = np.linalg.inv(sigma)
@@ -237,27 +281,58 @@ def glasso_fit(sigma_hat: np.ndarray, lam: float) -> np.ndarray:
         block = np.flatnonzero(labels == label)
         if block.size == 1:
             theta[block, block] = 1.0 / sigma[block, block]
+            continue
+        sub = np.ix_(block, block)
+        s = sigma[sub]
+        if start is None:
+            w, coef = s.copy(), np.zeros((block.size, block.size))
         else:
-            # The gap of theta is the sum of its blocks' gaps.
-            theta[np.ix_(block, block)] = _glasso_block(
-                sigma[np.ix_(block, block)], lam, GAP_TOL * block.size / p
-            )
+            w, coef = _block_start(s, lam, start[sub], w_start[sub])
+        # The gap of theta is the sum of its blocks' gaps.
+        theta[sub] = _glasso_block(s, lam, GAP_TOL * block.size / p, w, coef)
     return theta
 
 
-def _glasso_block(sigma: np.ndarray, lam: float, gap_tol: float) -> np.ndarray:
+def _block_start(
+    sigma: np.ndarray, lam: float, theta0: np.ndarray, w0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dual-feasible working covariance and lasso coefficients of a start.
+
+    ``theta0`` and ``w0`` are one component's block of the start and of its
+    inverse.  W is ``sigma + clip(w0 - sigma, -lam, lam)`` off the diagonal,
+    with the diagonal of ``sigma``: a point of the dual box where coordinate
+    descent keeps W positive definite.  Column j's lasso starts at
+    ``-theta0[:, j] / theta0[j, j]``.  If that W is not positive definite,
+    the component starts cold, from ``sigma`` with zero coefficients:
+    ``sigma`` can then be singular (a column and its copy), and so can the
+    Gram of a started active set.
+    """
+    w = sigma + np.clip(w0 - sigma, -lam, lam)
+    np.fill_diagonal(w, np.diag(sigma))
+    try:
+        np.linalg.cholesky(w)
+    except np.linalg.LinAlgError:
+        return sigma.copy(), np.zeros(sigma.shape)
+    coef = -theta0.T / np.diag(theta0)[:, None]
+    np.fill_diagonal(coef, 0.0)
+    return w, coef
+
+
+def _glasso_block(
+    sigma: np.ndarray, lam: float, gap_tol: float, w: np.ndarray, coef: np.ndarray
+) -> np.ndarray:
     """Blockwise coordinate descent on one screening component (p >= 2).
 
-    One column of the working covariance W is refreshed per inner lasso
-    solve; sweeps repeat until W moves by less than ``W_TOL`` and the
-    duality gap is at most ``gap_tol``.  Row j of ``coef`` holds column j's
-    lasso coefficients, indexed like W with ``coef[j, j]`` = 0; the lasso
-    reads W in place and column j of W becomes ``W @ coef[j]`` off the
-    diagonal.
+    ``w`` is the starting working covariance, positive definite with the
+    diagonal of ``sigma``, which is unpenalized and never moves; ``coef``
+    holds the starting lasso coefficients.  Both are updated in place.  One
+    column of W is refreshed per inner lasso solve; sweeps repeat until W
+    moves by less than ``W_TOL`` and the duality gap is at most ``gap_tol``.
+    Row j of ``coef`` holds column j's lasso coefficients, indexed like W
+    with ``coef[j, j]`` = 0; the lasso reads W in place and column j of W
+    becomes ``W @ coef[j]`` off the diagonal.
     """
     p = sigma.shape[0]
-    w = sigma.copy()  # diagonal is unpenalized and never moves
-    coef = np.zeros((p, p))
     converged = False
     gap = np.inf
     for _ in range(MAX_SWEEPS):
@@ -270,7 +345,11 @@ def _glasso_block(sigma: np.ndarray, lam: float, gap_tol: float) -> np.ndarray:
             w[j] = w_j
         delta = np.abs(w - w_prev).max()
         if delta < W_TOL:
-            theta = _invert_spd(w)
+            theta = _spd_inverse(w)
+            if theta is None:
+                raise ConvergenceError(
+                    "working covariance lost positive definiteness"
+                )
             gap = duality_gap(sigma, theta, lam)
             if gap <= gap_tol:
                 converged = True
@@ -289,13 +368,12 @@ def _glasso_block(sigma: np.ndarray, lam: float, gap_tol: float) -> np.ndarray:
     return theta
 
 
-def _invert_spd(w: np.ndarray) -> np.ndarray:
+def _spd_inverse(a: np.ndarray) -> np.ndarray | None:
+    """Symmetric inverse of ``a`` by Cholesky, or None if that fails."""
     try:
-        cho = np.linalg.cholesky(w)
+        cho = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise ConvergenceError(
-            "working covariance lost positive definiteness"
-        ) from None
+        return None
     inv_cho = np.linalg.inv(cho)
     theta = inv_cho.T @ inv_cho
     return (theta + theta.T) / 2.0
@@ -345,13 +423,14 @@ def select_lambda_ric(
     """
     if n_rotations < 1:
         raise ContractError(f"n_rotations must be >= 1, got {n_rotations}")
-    x = _as_matrix(t)
+    # A row permutation of a column that varies still varies: check once.
+    x = _varying_columns(t)
     p = x.shape[1]
     rng = np.random.default_rng(int(seed))
     maxima = np.empty(n_rotations)
     off = ~np.eye(p, dtype=bool)
     for r in range(n_rotations):
-        c = correlation_matrix(rng.permuted(x, axis=0))
+        c = _correlation(rng.permuted(x, axis=0))
         maxima[r] = np.abs(c[off]).max()
     return float(maxima.mean())
 
@@ -411,16 +490,20 @@ def partial_correlations(t_hat: np.ndarray) -> np.ndarray:
 
 
 def fit_precision(
-    t: TransformedMatrix | np.ndarray, lam: float
+    t: TransformedMatrix | np.ndarray,
+    lam: float,
+    start: np.ndarray | None = None,
 ) -> PrecisionFit:
-    """Correlation -> sparse precision -> de-biased partial correlations."""
+    """Correlation -> sparse precision -> de-biased partial correlations.
+
+    ``start`` is passed to ``glasso_fit``: a precision estimate, such as
+    another member's ``theta``, that the solve starts from.
+    """
     x = _as_matrix(t)
     sigma = correlation_matrix(x)
-    theta = glasso_fit(sigma, lam)
-    support = theta != 0.0
-    np.fill_diagonal(support, False)
+    theta = glasso_fit(sigma, lam, start=start)
     return PrecisionFit(
         partial_corr=partial_correlations(_debias(theta, sigma)),
-        support=support,
+        theta=theta,
         n=x.shape[0],
     )

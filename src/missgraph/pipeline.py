@@ -8,7 +8,11 @@ are Fisher-pooled across members before arcs are extracted.  The level is
 ``lambda_value`` when given; otherwise the permutation criterion sets it once
 per analysis, on member 1.  That null keeps only the column marginals, which
 the members share up to the ranks of their filled cells, so the K per-member
-nulls would estimate one quantity.
+nulls would estimate one quantity.  For the same reason the members'
+correlations differ only slightly, so the graphical lasso of members 2..K
+starts from member 1's sparse precision (never from the member just before),
+and each member's estimate agrees with a cold solve to the solver's
+tolerance.
 
 Seeding: member k (1-based) imputes with ``split_seed(seed, k)``; the
 permutation null runs with ``split_seed(split_seed(seed, 1), RIC_STREAM)``,
@@ -180,7 +184,8 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
                 )
         lambdas.append(lam)
         with stage("fit"):
-            fits.append(fit_precision(transformed, lam))
+            start = fits[0].theta if fits else None
+            fits.append(fit_precision(transformed, lam, start=start))
     with stage("pool"):
         table = pool_partial_correlations(fits, metas)
         table = edge_p_values(table)

@@ -170,6 +170,59 @@ class TestAnalyze:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["meta"]["config"]["seed"] == 5
 
+    def test_schema_file_with_byte_order_mark(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_bytes(b"\xef\xbb\xbf" + b'{"lab_value": "BloodTests"}')
+        code, _, _ = run(
+            [
+                "analyze",
+                "--input", str(DATA / "mnar_example.csv"),
+                "--schema", str(schema),
+                "--imputations", "2",
+                "--out", str(tmp_path / "out"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["variables"][0]["name"] == "lab_value"
+        assert report["variables"][0]["category"] == "BloodTests"
+
+    def test_na_token_order_and_repeats_leave_outputs_unchanged(
+        self, tmp_path, capsys
+    ):
+        # Every other missing cell is written "?", the rest "NA".
+        lines = (DATA / "mnar_example.csv").read_text().splitlines()
+        cells = [line.split(",") for line in lines]
+        missing = [
+            (r, c)
+            for r, row in enumerate(cells)
+            for c, value in enumerate(row)
+            if value == "NA"
+        ]
+        for r, c in missing[::2]:
+            cells[r][c] = "?"
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(",".join(row) for row in cells) + "\n")
+        base = ["analyze", "--input", str(data), "--imputations", "3", "--seed", "1"]
+        orders = (["?", "NA"], ["NA", "?", "?"])
+        for name, tokens in zip("ab", orders):
+            flags = [arg for token in tokens for arg in ("--na-token", token)]
+            code, _, _ = run(base + flags + ["--out", str(tmp_path / name)], capsys)
+            assert code == 0
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert strip_volatile((a / "report.json").read_text()) == strip_volatile(
+            (b / "report.json").read_text()
+        )
+        for name in ("arcs.csv", "graph.dot"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        report = json.loads((a / "report.json").read_text())
+        assert report["meta"]["config"]["na_tokens"] == ["?", "NA"]
+        # Both tokens were read as missing: lab_value has all 679 holes.
+        assert report["missing_profile"][0]["missing_proportion"] == pytest.approx(
+            len(missing) / (len(lines) - 1)
+        )
+
     def test_outdir_from_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MISSGRAPH_OUTDIR", str(tmp_path / "envout"))
         code, _, _ = run(
@@ -203,15 +256,20 @@ class TestAnalyze:
         missing = [row["missing_proportion"] for row in report["missing_profile"]]
         assert min(missing) == 0.0 < max(missing)
         assert "Completeness" in {v["kind"] for v in report["variables"]}
-        # The members and their lambdas give back the pooled table exactly.
+        # The members and their lambdas give back the pooled table exactly,
+        # each member after the first started from member 1's estimate.
         names = members[0].read_text().splitlines()[0].split(",")
-        fits = [
-            fit_precision(
-                nonparanormal_transform(np.loadtxt(path, delimiter=",", skiprows=1)),
-                lam,
+        fits = []
+        for path, lam in zip(members, report["lambdas"]):
+            fits.append(
+                fit_precision(
+                    nonparanormal_transform(
+                        np.loadtxt(path, delimiter=",", skiprows=1)
+                    ),
+                    lam,
+                    start=fits[0].theta if fits else None,
+                )
             )
-            for path, lam in zip(members, report["lambdas"])
-        ]
         table = pool_partial_correlations(fits)
         for edge in report["edges"]:
             i, j = names.index(edge["var_a"]), names.index(edge["var_b"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.sparse.csgraph import connected_components
 
 import missgraph.ggm
 from missgraph import (
@@ -306,6 +307,93 @@ class TestGlasso:
         assert duality_gap(sigma, theta, 0.0) == pytest.approx(0.0, abs=1e-10)
 
 
+def components(sigma, lam):
+    """Labels of the screening components of ``|sigma_ij| > lam``."""
+    screen = np.abs(sigma) > lam
+    np.fill_diagonal(screen, False)
+    return connected_components(screen, directed=False)[1]
+
+
+def assert_certified(sigma, theta, lam):
+    cert = kkt_certificate(sigma, theta, lam)
+    assert cert["off_support_violation"] <= 1e-6
+    assert cert["on_support_deviation"] <= 1e-6
+    assert abs(cert["duality_gap"]) <= 1e-6
+
+
+def copies_and_masks(rng, n=300):
+    """Six related columns, affine copies of two of them and three identical
+    mask indicators: the sample correlation is singular.  Its loadings are
+    small enough that a cold solve meets the 1e-6 certificate at lam 0.01."""
+    mask = (rng.random((n, 1)) < 0.3).astype(float)
+    base = (
+        rng.uniform(0.2, 1.0, 6) * rng.standard_normal((n, 1))
+        + rng.standard_normal((n, 6))
+        + mask * rng.uniform(0.0, 1.0, 6)
+    )
+    x = np.hstack([base, 3.0 * base[:, :2] + 1.0, mask, mask, mask])
+    return np.corrcoef(x, rowvar=False)
+
+
+class TestStart:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [0.01, 0.05, 0.2])
+    def test_start_from_another_solution(self, lam, rng, monkeypatch):
+        # The start solves another draw of the same design at lam 0.3, where
+        # its screening components are not those of sigma at lam.
+        sigma = copies_and_masks(rng)
+        other = copies_and_masks(rng)
+        start = glasso_fit(other, 0.3)
+        assert not np.array_equal(components(sigma, lam), components(other, 0.3))
+
+        warm_blocks = []
+        block_start = missgraph.ggm._block_start
+
+        def spying(*args):
+            w, coef = block_start(*args)
+            warm_blocks.append(coef.any())
+            return w, coef
+
+        monkeypatch.setattr(missgraph.ggm, "_block_start", spying)
+        theta = glasso_fit(sigma, lam, start=start)
+        assert any(warm_blocks)
+        assert_certified(sigma, theta, lam)
+        cold = glasso_fit(sigma, lam)
+        np.testing.assert_array_equal(theta != 0.0, cold != 0.0)
+        np.testing.assert_allclose(theta, cold, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            np.eye(4),  # wrong shape
+            np.diag([1.0, 1.0, np.nan]),  # not finite
+            np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.diag([1.0, -1.0, 1.0]),  # not positive definite
+        ],
+        ids=["shape", "non-finite", "asymmetric", "indefinite"],
+    )
+    def test_bad_start_rejected(self, start):
+        sigma = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
+        with pytest.raises(ContractError, match="start"):
+            glasso_fit(sigma, 0.1, start=start)
+
+    def test_start_outside_the_positive_definite_cone_starts_cold(self):
+        # inv(start) is far from sigma: the projection moves every entry by
+        # the whole lam, to a W that is not positive definite.
+        lam = 0.1
+        sigma = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.7], [0.9, 0.7, 1.0]])
+        w0 = np.array([[4.0, 3.0, 3.0], [3.0, 4.0, 2.0], [3.0, 2.0, 4.0]])
+        start = np.linalg.inv(w0)
+        start = (start + start.T) / 2.0
+        projected = sigma + np.clip(w0 - sigma, -lam, lam)
+        np.fill_diagonal(projected, 1.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(projected)
+        theta = glasso_fit(sigma, lam, start=start)
+        np.testing.assert_array_equal(theta, glasso_fit(sigma, lam))
+        assert_certified(sigma, theta, lam)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
@@ -378,6 +466,31 @@ class TestRic:
             maxima.append(np.abs(correlation_matrix(permuted)[off]).max())
         expected = float(np.mean(maxima))
         assert select_lambda_ric(x, n_rotations=5, seed=seed) == expected
+
+    @pytest.mark.parametrize("standardized", [True, False])
+    def test_matches_correlation_matrix_route(self, standardized, rng):
+        # The columns are checked once, not once per rotation; each rotation
+        # is still the correlation matrix of the same permuted draws.
+        x = rng.standard_normal((500, 6)) @ rng.standard_normal((6, 6))
+        x[:, 0] = np.round(x[:, 0])  # ties
+        if standardized:
+            x = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+        else:
+            x = 50.0 + 7.0 * x
+        ref = np.random.default_rng(3)
+        off = ~np.eye(6, dtype=bool)
+        maxima = [
+            np.abs(correlation_matrix(ref.permuted(x, axis=0))[off]).max()
+            for _ in range(8)
+        ]
+        lam = select_lambda_ric(x, n_rotations=8, seed=3)
+        assert abs(lam - float(np.mean(maxima))) <= 1e-15
+
+    def test_constant_column_rejected(self, rng):
+        x = rng.standard_normal((30, 3))
+        x[:, 1] = 0.1  # its float mean is not exactly 0.1
+        with pytest.raises(DegenerateColumnError):
+            select_lambda_ric(x, n_rotations=3, seed=0)
 
     def test_needs_at_least_one_rotation(self, rng):
         with pytest.raises(ContractError):

@@ -17,6 +17,7 @@ from missgraph import (
     VariableMeta,
     analyze_dataset,
     ar1_precision,
+    fit_precision,
     hot_deck_impute,
     make_completeness_indicators,
     nonparanormal_transform,
@@ -133,6 +134,28 @@ def test_variables_sharing_a_missingness_mask():
     np.testing.assert_array_equal(*augmented.indicator_values.T)
     result = analyze_dataset(shared, CONFIG)
     assert len(result.lambdas) == CONFIG.n_imputations
+
+
+def test_members_start_from_member_one_and_match_a_cold_fit(monkeypatch):
+    calls = []
+
+    def recording(t, lam, start=None):
+        fit = fit_precision(t, lam, start=start)
+        calls.append((t.copy(), lam, start, fit))
+        return fit
+
+    monkeypatch.setattr(missgraph.pipeline, "fit_precision", recording)
+    analyze_dataset(DATASET, CONFIG)
+    assert len(calls) == CONFIG.n_imputations
+    member_1 = calls[0][3]
+    assert calls[0][2] is None
+    assert all(start is member_1.theta for _, _, start, _ in calls[1:])
+    for t, lam, _, fit in calls:
+        cold = fit_precision(t, lam)
+        np.testing.assert_array_equal(fit.support, cold.support)
+        np.testing.assert_allclose(
+            fit.partial_corr, cold.partial_corr, rtol=0, atol=1e-8
+        )
 
 
 def test_fully_observed_table_has_no_imputed_columns():

@@ -32,10 +32,12 @@ def pool_oracle(rhos):
 
 
 def make_fit(rho_matrix, n=500, support=None):
+    """A fit whose sparse precision is nonzero exactly on ``support``."""
     rho = np.asarray(rho_matrix, dtype=float)
     p = rho.shape[0]
     support = np.zeros((p, p), dtype=bool) if support is None else support
-    return PrecisionFit(partial_corr=rho, support=np.asarray(support), n=n)
+    theta = np.eye(p) - 0.1 * np.asarray(support, dtype=float)
+    return PrecisionFit(partial_corr=rho, theta=theta, n=n)
 
 
 def two_var_fits(rhos, n=500, p=2):
