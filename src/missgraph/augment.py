@@ -1,4 +1,4 @@
-"""Completeness indicators: one binary column per partially observed variable.
+"""Completeness indicators and the column layout of the augmented table.
 
 An indicator is 1 where the parent cell is observed and 0 where it is missing.
 Fully observed and fully missing columns would yield constant indicators,
@@ -6,6 +6,10 @@ which carry no correlation information, so they get none: their names are
 recorded in ``excluded_constant``.  A fully observed column stays in the
 analysis; a fully missing one cannot be imputed, and ``analyze_dataset``
 rejects it with ``UnimputableColumnError`` before the first member.
+
+:func:`make_completeness_indicators` decides each column's role once, and
+every later stage reads that layout: the augmented matrix, the base columns
+that hot-deck imputation fills and the observed cells it draws from.
 """
 
 from __future__ import annotations
@@ -27,12 +31,22 @@ def indicator_name(parent: str) -> str:
 
 @dataclass(frozen=True)
 class AugmentedDataset:
-    """A Dataset plus the completeness indicators derived from its mask."""
+    """A Dataset plus the completeness indicators derived from its mask.
+
+    ``values``, ``imputed`` and ``pools`` are read-only arrays.
+    """
 
     base: Dataset
     indicator_metas: tuple[VariableMeta, ...]
-    indicator_values: np.ndarray  # (n_rows, n_indicators) of {0.0, 1.0}
+    values: np.ndarray  # base columns, then indicators; NaN = missing
+    imputed: np.ndarray  # base columns with a missing cell, ascending
+    pools: tuple[np.ndarray, ...]  # each imputed column's observed cells
     excluded_constant: tuple[str, ...]
+
+    @property
+    def indicator_values(self) -> np.ndarray:
+        """The indicator columns of ``values`` (a view), of {0.0, 1.0}."""
+        return self.values[:, self.base.n_cols:]
 
     @property
     def n_rows(self) -> int:
@@ -47,18 +61,6 @@ class AugmentedDataset:
     def names(self) -> list[str]:
         return [m.name for m in self.metas]
 
-    @property
-    def n_cols(self) -> int:
-        return self.base.n_cols + len(self.indicator_metas)
-
-    def to_dataset(self) -> Dataset:
-        """Concatenate base columns (mask intact) with the indicator columns."""
-        values = np.hstack([self.base.values, self.indicator_values])
-        mask = np.hstack(
-            [self.base.mask, np.ones_like(self.indicator_values, dtype=bool)]
-        )
-        return Dataset(metas=self.metas, values=values, mask=mask)
-
 
 def make_completeness_indicators(dataset: Dataset) -> AugmentedDataset:
     """Build the indicator columns for every mixed-status variable.
@@ -68,13 +70,13 @@ def make_completeness_indicators(dataset: Dataset) -> AugmentedDataset:
     mask is True.  Indicators are a pure function of the mask, never of the
     values.  An indicator named like a data column is a ``SchemaError``.
     """
+    n_observed = dataset.mask.sum(axis=0)
+    imputed = np.flatnonzero(n_observed < dataset.n_rows)
+    partial = (n_observed > 0) & (n_observed < dataset.n_rows)
     metas: list[VariableMeta] = []
-    columns: list[np.ndarray] = []
     excluded: list[str] = []
-    for j, meta in enumerate(dataset.metas):
-        observed = dataset.mask[:, j]
-        n_obs = int(observed.sum())
-        if 0 < n_obs < dataset.n_rows:
+    for meta, has_indicator in zip(dataset.metas, partial):
+        if has_indicator:
             name = indicator_name(meta.name)
             if name in dataset.names:
                 raise SchemaError(
@@ -88,15 +90,17 @@ def make_completeness_indicators(dataset: Dataset) -> AugmentedDataset:
                     parent=meta.name,
                 )
             )
-            columns.append(observed.astype(float))
         else:
             excluded.append(meta.name)
-    values = (
-        np.column_stack(columns) if columns else np.empty((dataset.n_rows, 0))
-    )
+    values = np.hstack([dataset.values, dataset.mask[:, partial].astype(float)])
+    pools = tuple(dataset.values[dataset.mask[:, j], j] for j in imputed)
+    for array in (values, imputed, *pools):
+        array.setflags(write=False)  # shared by every member
     return AugmentedDataset(
         base=dataset,
         indicator_metas=tuple(metas),
-        indicator_values=values,
+        values=values,
+        imputed=imputed,
+        pools=pools,
         excluded_constant=tuple(excluded),
     )

@@ -25,6 +25,9 @@ from .errors import ConfigError, ParseError, SchemaError, stage
 #: Cell texts (after stripping) treated as missing when no explicit set is given.
 DEFAULT_NA_TOKENS = frozenset({"", "NA", "NaN", "null"})
 
+#: Cell text the CSV writers put at a missing cell.
+NA_TOKEN = "NA"
+
 
 class Category(str, enum.Enum):
     """Reporting category of a variable."""
@@ -230,21 +233,20 @@ def parse_csv(
     return Dataset(metas=metas, values=values, mask=mask)
 
 
-def write_csv(dataset: Dataset, path: str | Path, na_token: str = "NA") -> None:
+def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a Dataset back to CSV; observed floats use shortest round-trip repr."""
-    write_matrix_csv(dataset.values, dataset.names, Path(path), na_token)
+    write_matrix_csv(dataset.values, dataset.names, Path(path))
 
 
-def write_matrix_csv(
-    matrix: np.ndarray, names: list[str], path: Path, na_token: str = "NA"
-) -> None:
-    """Write a matrix under a header row, shortest round-trip reprs, NaN as token."""
+def write_matrix_csv(matrix: np.ndarray, names: list[str], path: Path) -> None:
+    """Write a matrix under a header row, shortest round-trip reprs, NaN as
+    ``NA_TOKEN``."""
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
         for row in matrix:
             writer.writerow(
-                [na_token if math.isnan(v) else repr(v) for v in row.tolist()]
+                [NA_TOKEN if math.isnan(v) else repr(v) for v in row.tolist()]
             )
 
 

@@ -33,25 +33,20 @@ def split_seed(master_seed: int, k: int) -> int:
 def hot_deck_impute(augmented: AugmentedDataset, seed: int) -> np.ndarray:
     """Return one complete matrix over the augmented variable set.
 
-    Base columns have their missing cells replaced by seeded uniform draws
-    from the observed entries of the same column; observed cells and the
-    indicator columns pass through unchanged.
+    A copy of ``augmented.values`` whose missing cells are replaced by seeded
+    uniform draws from ``augmented.pools``: one ``rng.choice`` per imputed
+    column, in column order, from one generator seeded with ``seed``.
+    Observed cells and the indicator columns pass through unchanged.
 
     Raises
     ------
     UnimputableColumnError if a column has missing cells but nothing observed.
     """
     rng = np.random.default_rng(int(seed) & _MASK64)
-    base = augmented.base
-    filled = base.values.copy()
-    for j, meta in enumerate(base.metas):
-        observed = base.mask[:, j]
-        n_missing = int((~observed).sum())
-        if n_missing == 0:
-            continue
-        pool = base.values[observed, j]
+    filled = augmented.values.copy()
+    for j, pool in zip(augmented.imputed, augmented.pools):
         if pool.size == 0:
-            raise UnimputableColumnError(meta.name)
-        filled[~observed, j] = rng.choice(pool, size=n_missing, replace=True)
-    return np.hstack([filled, augmented.indicator_values])
-
+            raise UnimputableColumnError(augmented.base.metas[j].name)
+        missing = ~augmented.base.mask[:, j]
+        filled[missing, j] = rng.choice(pool, size=augmented.n_rows - pool.size)
+    return filled

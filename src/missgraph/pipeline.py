@@ -144,22 +144,19 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     # The rank transform works column by column, and only the hot-deck-filled
     # columns differ between members: the indicators and the fully observed
     # columns are transformed once, into the matrix every member reuses.
-    imputed = np.flatnonzero(~augmented.base.mask.all(axis=0))
+    imputed = augmented.imputed
     shared = np.setdiff1d(np.arange(len(names)), imputed)
     with stage("transform"):
         transformed = np.empty((augmented.n_rows, len(names)))
-        transformed[:, shared] = transform(
-            np.hstack([augmented.base.values, augmented.indicator_values]), shared
-        )
+        transformed[:, shared] = transform(augmented.values, shared)
     # Hot-deck draws come only from a column's observed cells, so checking
     # those once, before member 1, covers every member.
-    pools = [augmented.base.values[augmented.base.mask[:, j], j] for j in imputed]
     with stage("impute"):
-        for j, pool in zip(imputed, pools):
+        for j, pool in zip(imputed, augmented.pools):
             if pool.size == 0:
                 raise UnimputableColumnError(names[j])
     with stage("transform"):
-        for j, pool in zip(imputed, pools):
+        for j, pool in zip(imputed, augmented.pools):
             if pool.min() == pool.max():
                 raise DegenerateColumnError(names[j], "cannot be rank-transformed")
     fits = []
@@ -218,17 +215,17 @@ def _build_report(
     warnings_list: list[str],
     elapsed: float,
 ) -> AnalysisReport:
-    edges = []
-    for i, j, meta_i, meta_j in table.pairs():
-        edges.append(
-            {
-                "var_a": meta_i.name,
-                "var_b": meta_j.name,
-                "pooled_rho": float(table.pooled_rho[i, j]),
-                "p_value": float(table.p_value[i, j]),
-                "support_count": int(table.support_count[i, j]),
-            }
-        )
+    names = table.names
+    edges = [
+        {
+            "var_a": names[i],
+            "var_b": names[j],
+            "pooled_rho": float(table.pooled_rho[i, j]),
+            "p_value": float(table.p_value[i, j]),
+            "support_count": int(table.support_count[i, j]),
+        }
+        for i, j in zip(*np.triu_indices(table.p_vars, k=1))
+    ]
     meta = {
         "package": "missgraph",
         "version": __version__,

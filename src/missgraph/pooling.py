@@ -51,18 +51,6 @@ class PooledEdgeTable:
     def p_vars(self) -> int:
         return self.pooled_rho.shape[0]
 
-    def index(self, name: str) -> int:
-        for i, meta in enumerate(self.metas):
-            if meta.name == name:
-                return i
-        raise KeyError(f"no variable named {name!r}")
-
-    def pairs(self):
-        """Yield (i, j, meta_i, meta_j) over unordered pairs, i < j."""
-        for i in range(self.p_vars):
-            for j in range(i + 1, self.p_vars):
-                yield i, j, self.metas[i], self.metas[j]
-
 
 @dataclass(frozen=True)
 class MissingnessArc:
@@ -178,26 +166,20 @@ def extract_missingness_arcs(
         raise ContractError(f"alpha must be inside (0, 1), got {alpha}")
     if table.p_value is None:
         raise ContractError("run edge_p_values before extracting arcs")
+    is_indicator = np.array([m.kind is VarKind.COMPLETENESS for m in table.metas])
+    observations = np.flatnonzero(~is_indicator)
+    indicators = np.flatnonzero(is_indicator)
+    rows, cols = np.nonzero(table.p_value[np.ix_(observations, indicators)] < alpha)
+    row_of = {name: i for i, name in enumerate(table.names)}
     arcs = []
-    for i, j, meta_i, meta_j in table.pairs():
-        if (meta_i.kind is VarKind.COMPLETENESS) == (
-            meta_j.kind is VarKind.COMPLETENESS
-        ):
-            continue  # same kind on both ends
-        if meta_i.kind is VarKind.COMPLETENESS:
-            obs, comp = meta_j, meta_i
-            oi, ci = j, i
-        else:
-            obs, comp = meta_i, meta_j
-            oi, ci = i, j
+    for oi, ci in zip(observations[rows], indicators[cols]):
+        obs, comp = table.metas[oi], table.metas[ci]
         p = float(table.p_value[oi, ci])
-        if p >= alpha:
-            continue
         rho = float(table.pooled_rho[oi, ci])
         if obs.name == comp.parent:
             counterpart_rho = counterpart_p = None
         else:
-            pi = table.index(comp.parent)
+            pi = row_of[comp.parent]
             counterpart_rho = float(table.pooled_rho[oi, pi])
             counterpart_p = float(table.p_value[oi, pi])
         arcs.append(
@@ -227,25 +209,22 @@ def detect_mnar(
     """
     if table.p_value is None:
         raise ContractError("run edge_p_values before MNAR detection")
+    names = table.names
+    row_of = {name: i for i, name in enumerate(names)}
+    linked = table.p_value < alpha
     findings = []
     for arc in arcs:
         if not arc.is_self_arc:
             continue
-        a = table.index(arc.observation_var)
-        c = table.index(arc.completeness_var)
-        witnesses = tuple(
-            meta.name
-            for k, meta in enumerate(table.metas)
-            if k not in (a, c)
-            and table.p_value[a, k] < alpha
-            and table.p_value[c, k] < alpha
-        )
+        a, c = row_of[arc.observation_var], row_of[arc.completeness_var]
+        witnesses = linked[a] & linked[c]
+        witnesses[[a, c]] = False
         findings.append(
             MnarFinding(
                 variable=arc.observation_var,
                 self_arc_rho=arc.pooled_rho,
                 self_arc_p=arc.p_value,
-                witnesses=witnesses,
+                witnesses=tuple(names[k] for k in np.flatnonzero(witnesses)),
             )
         )
     return findings

@@ -75,15 +75,28 @@ def test_augmented_width():
         {"a": [1.0, None], "b": [2.0, 3.0], "c": [None, 5.0]}
     )
     aug = make_completeness_indicators(ds)
-    assert aug.n_cols == 3 + 2
+    assert aug.values.shape == (2, 3 + 2)
+    assert len(aug.names) == 3 + 2
 
 
 def test_augmented_dataset_profile_zero_for_indicators():
     ds = make_dataset({"a": [1.0, None, 2.0], "b": [3.0, 4.0, None]})
     aug = make_completeness_indicators(ds)
-    profile = missing_profile(aug.to_dataset())
-    by_name = {row.name: row for row in profile}
+    missing = dict(zip(aug.names, np.isnan(aug.values).mean(axis=0)))
     for meta in aug.indicator_metas:
-        assert by_name[meta.name].missing_proportion == 0.0
+        assert missing[meta.name] == 0.0
     # base columns keep their original missingness
-    assert by_name["a"].missing_proportion == 1 / 3
+    assert missing["a"] == missing_profile(ds)[0].missing_proportion == 1 / 3
+
+
+def test_layout_is_decided_once():
+    ds = make_dataset(
+        {"full": [1.0, 2.0, 3.0], "a": [None, 4.0, 5.0], "gone": [None] * 3}
+    )
+    aug = make_completeness_indicators(ds)
+    assert aug.imputed.tolist() == [1, 2]
+    np.testing.assert_array_equal(aug.pools[0], [4.0, 5.0])
+    assert aug.pools[1].size == 0
+    assert np.shares_memory(aug.indicator_values, aug.values)
+    np.testing.assert_array_equal(aug.values[:, :3], ds.values)
+    assert not any(a.flags.writeable for a in (aug.values, aug.imputed, *aug.pools))

@@ -57,6 +57,33 @@ def test_indicator_columns_pass_through():
     np.testing.assert_array_equal(member[:, 1], [1.0, 0.0, 1.0])
 
 
+def test_member_draws_match_an_independent_reference():
+    # One generator per member, and one rng.choice over the observed cells of
+    # each column with a missing cell, in column order: the draws are part of
+    # the determinism contract, so they are pinned bit for bit.
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(60, 5))
+    values[rng.random((60, 5)) < 0.3] = np.nan
+    values[:, 1] = rng.normal(size=60)  # fully observed, between imputed ones
+    ds = make_dataset(
+        {f"v{j}": [None if np.isnan(v) else v for v in values[:, j]]
+         for j in range(5)}
+    )
+    aug = make_completeness_indicators(ds)
+    partial = [j for j in range(5) if not ds.mask[:, j].all()]
+    for seed in (0, split_seed(3, 1), split_seed(3, 2)):
+        reference = np.random.default_rng(seed)
+        expected = ds.values.copy()
+        for j in partial:
+            observed = ds.values[ds.mask[:, j], j]
+            n_missing = int((~ds.mask[:, j]).sum())
+            expected[~ds.mask[:, j], j] = reference.choice(observed, n_missing)
+        expected = np.hstack([expected, ds.mask[:, partial].astype(float)])
+        member = hot_deck_impute(aug, seed)
+        np.testing.assert_array_equal(member, expected)
+        assert member.tobytes() == expected.tobytes()
+
+
 def test_unimputable_column_named():
     ds = make_dataset({"bad": [None, None], "ok": [1.0, None]})
     aug = make_completeness_indicators(ds)

@@ -9,6 +9,7 @@ import missgraph.pipeline
 from missgraph import (
     AnalysisConfig,
     ContractError,
+    PooledEdgeTable,
     VariableMeta,
     VarKind,
     analyze_dataset,
@@ -104,6 +105,20 @@ class TestFisherPooling:
     def test_boundary_rho_rejected(self):
         with pytest.raises(ContractError, match="rho"):
             pool_partial_correlations(two_var_fits([1.0]))
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ContractError, match="at least one fit"):
+            pool_partial_correlations([])
+
+    def test_metas_count_must_match_table(self):
+        table = pool_partial_correlations(two_var_fits([0.2], p=3))
+        with pytest.raises(ContractError, match="one VariableMeta per pooled"):
+            PooledEdgeTable(
+                metas=table.metas[:2],
+                pooled_rho=table.pooled_rho,
+                support_count=table.support_count,
+                n=table.n,
+            )
 
 
 class TestEdgePValues:
@@ -224,6 +239,47 @@ class TestArcExtraction:
         with pytest.raises(ContractError, match="alpha"):
             extract_missingness_arcs(table, alpha=1.5)
 
+    def test_p_values_required(self):
+        table = pool_partial_correlations([make_fit(np.eye(3))], metas=mixed_metas())
+        with pytest.raises(ContractError, match="edge_p_values before extracting"):
+            extract_missingness_arcs(table, alpha=0.01)
+
+    def test_indicator_listed_before_its_observation(self):
+        # columns: a's indicator, z, a, z's indicator
+        metas = (
+            VariableMeta(indicator_name("a"), kind=VarKind.COMPLETENESS, parent="a"),
+            VariableMeta("z"),
+            VariableMeta("a"),
+            VariableMeta(indicator_name("z"), kind=VarKind.COMPLETENESS, parent="z"),
+        )
+        rho = np.eye(4)
+        for i, j, r in [(0, 2, 0.15), (1, 0, 0.3), (1, 2, 0.4), (2, 3, 0.2)]:
+            rho[i, j] = rho[j, i] = r
+        n = 5000
+        table = edge_p_values(pool_partial_correlations([make_fit(rho, n=n)], metas))
+
+        def p_of(r):  # two-sided Fisher z with n - (4 - 2) - 3 dof
+            return math.erfc(abs(math.atanh(r)) * math.sqrt((n - 5) / 2))
+
+        arcs = extract_missingness_arcs(table, alpha=0.01)
+        assert [(a.observation_var, a.completeness_var) for a in arcs] == [
+            ("z", indicator_name("a")),
+            ("a", indicator_name("z")),
+            ("a", indicator_name("a")),
+        ]
+        for arc, r, counterpart in zip(arcs, [0.3, 0.2, 0.15], [0.4, 0.4, None]):
+            assert arc.pooled_rho == pytest.approx(r, abs=1e-15)
+            assert arc.p_value == pytest.approx(p_of(r), rel=1e-9)
+            assert arc.counterpart_rho == (
+                None if counterpart is None else pytest.approx(counterpart)
+            )
+            assert arc.counterpart_p == (
+                None if counterpart is None else pytest.approx(p_of(counterpart), rel=1e-9)
+            )
+        # z touches both a and its indicator; z's indicator touches only a
+        (finding,) = detect_mnar(arcs, table, alpha=0.01)
+        assert (finding.variable, finding.witnesses) == ("a", ("z",))
+
 
 class TestDetectMnar:
     def test_no_self_arcs_no_findings(self):
@@ -244,6 +300,11 @@ class TestDetectMnar:
         assert finding.variable == "a"
         assert finding.witnesses == ("z",)
         assert finding.self_arc_p < 0.01
+
+    def test_p_values_required(self):
+        table = pool_partial_correlations([make_fit(np.eye(3))], metas=mixed_metas())
+        with pytest.raises(ContractError, match="edge_p_values before MNAR"):
+            detect_mnar([], table, alpha=0.01)
 
     def test_no_witness_when_one_side_insignificant(self):
         rho = np.eye(3)
