@@ -7,11 +7,12 @@ The estimator minimizes
 over positive-definite precision matrices Theta, with the l1 penalty applied
 to off-diagonal entries only.  The columns are first screened: the solution
 is block diagonal over the connected components of the graph
-|Sigma_hat_ij| > lam, so a lone column gets 1 / Sigma_hat_ii and each larger
-component is solved on its own.  That solver is blockwise coordinate descent
-on the working covariance W = Theta^{-1}: one column of W is refreshed per
-inner lasso solve, whose Gram matrix, W without that row and column, is read
-from W in place.  The lasso is solved exactly on its active set, one
+|Sigma_hat_ij| > lam, each labelled by its smallest column index, so the lone
+columns get 1 / Sigma_hat_ii in one step and each larger component is solved
+on its own.  That solver is blockwise coordinate descent on the working
+covariance W = Theta^{-1}: one column of W is refreshed per inner lasso
+solve, whose Gram matrix, W without that row and column, is read from W in
+place.  The lasso is solved exactly on its active set, one
 Cholesky solve per step, adding the worst violator of the optimality
 conditions or walking back to the first sign change.  Sweeps repeat until W
 is stationary and the duality gap
@@ -46,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 from scipy.linalg.lapack import dposv
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ContractError, ConvergenceError, DegenerateColumnError
 from .npn import TransformedMatrix
@@ -208,14 +208,16 @@ def glasso_fit(
 
     The problem splits exactly along the connected components of the graph
     ``|sigma_ij| > lam`` (Witten, Friedman & Simon 2011; Mazumder & Hastie
-    2012): the solution is block diagonal over them.  A singleton column gets
-    ``1 / sigma_ii``; every larger component is solved on its own by
-    blockwise coordinate descent (Friedman, Hastie & Tibshirani 2008), with
-    each column's lasso solved exactly on its active set.
+    2012): the solution is block diagonal over them.  The components are
+    labelled by ``_screen_labels``; every singleton column gets
+    ``1 / sigma_ii`` at once, and every larger component is solved on its
+    own by blockwise coordinate descent (Friedman, Hastie & Tibshirani 2008),
+    with each column's lasso solved exactly on its active set.
 
     Parameters
     ----------
-    sigma_hat : symmetric sample correlation/covariance matrix.
+    sigma_hat : finite, symmetric sample correlation/covariance matrix with a
+        positive diagonal.
     lam : finite penalty level, >= 0.  With lam = 0 the input must be invertible and
         the plain inverse is returned.
     start : optional symmetric positive-definite precision of the same shape,
@@ -234,16 +236,20 @@ def glasso_fit(
 
     Raises
     ------
-    ContractError for asymmetric input, a negative or non-finite lam, or a
-    ``start`` of the wrong shape, non-finite, asymmetric or not positive
-    definite; ConvergenceError if a component does not converge within
+    ContractError for non-finite or asymmetric input, a diagonal entry <= 0,
+    a negative or non-finite lam, or a ``start`` of the wrong shape,
+    non-finite, asymmetric or not positive definite; ConvergenceError if a component does not converge within
     ``MAX_SWEEPS`` sweeps, a column's lasso exceeds its step budget, or the
     working covariance loses positive definiteness.
     """
     sigma = np.asarray(sigma_hat, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ContractError("sigma_hat must be square")
-    if not np.allclose(sigma, sigma.T, atol=1e-10):
+    if not np.isfinite(sigma).all():
+        raise ContractError("sigma_hat must be finite")
+    if not (np.diag(sigma) > 0.0).all():
+        raise ContractError("sigma_hat must have a positive diagonal")
+    if not _symmetric(sigma):
         raise ContractError("sigma_hat must be symmetric")
     if not 0 <= lam < np.inf:
         raise ContractError(
@@ -255,7 +261,7 @@ def glasso_fit(
         if (
             start.shape == sigma.shape
             and np.isfinite(start).all()
-            and np.allclose(start, start.T, atol=1e-10)
+            and _symmetric(start)
         ):
             w_start = _spd_inverse(start)
         if w_start is None:
@@ -273,15 +279,13 @@ def glasso_fit(
         return (theta + theta.T) / 2.0
 
     p = sigma.shape[0]
-    screen = np.abs(sigma) > lam
-    np.fill_diagonal(screen, False)
-    count, labels = connected_components(screen, directed=False)
+    labels = _screen_labels(np.abs(sigma) > lam)
+    sizes = np.bincount(labels, minlength=p)
+    lone = np.flatnonzero(sizes[labels] == 1)
     theta = np.zeros((p, p))
-    for label in range(count):
+    theta[lone, lone] = 1.0 / sigma[lone, lone]
+    for label in np.flatnonzero(sizes > 1):
         block = np.flatnonzero(labels == label)
-        if block.size == 1:
-            theta[block, block] = 1.0 / sigma[block, block]
-            continue
         sub = np.ix_(block, block)
         s = sigma[sub]
         if start is None:
@@ -291,6 +295,32 @@ def glasso_fit(
         # The gap of theta is the sum of its blocks' gaps.
         theta[sub] = _glasso_block(s, lam, GAP_TOL * block.size / p, w, coef)
     return theta
+
+
+def _symmetric(a: np.ndarray) -> bool:
+    """``np.allclose(a, a.T, atol=1e-10)`` for a finite ``a``, written out."""
+    return bool((np.abs(a - a.T) <= 1e-10 + 1e-5 * np.abs(a.T)).all())
+
+
+def _screen_labels(screen: np.ndarray) -> np.ndarray:
+    """Label each column of a symmetric boolean adjacency by the smallest
+    index in its connected component; the diagonal is ignored.
+
+    Each round takes the smallest label among a column and its neighbours,
+    then jumps every label to its own label's label.  A label only falls and
+    always names a column of the same component, whose smallest column keeps
+    its own index, so the rounds stop when each component carries that one
+    label.
+    """
+    p = screen.shape[0]
+    labels = np.arange(p)
+    while True:
+        reached = np.where(screen, labels, p).min(axis=1, initial=p)
+        np.minimum(reached, labels, out=reached)
+        reached = reached[reached]
+        if np.array_equal(reached, labels):
+            return labels
+        labels = reached
 
 
 def _block_start(

@@ -33,9 +33,10 @@ def split_seed(master_seed: int, k: int) -> int:
 def hot_deck_impute(augmented: AugmentedDataset, seed: int) -> np.ndarray:
     """Return one complete matrix over the augmented variable set.
 
-    A copy of ``augmented.values`` whose missing cells are replaced by seeded
-    uniform draws from ``augmented.pools``: one ``rng.choice`` per imputed
-    column, in column order, from one generator seeded with ``seed``.
+    A copy of ``augmented.values`` whose missing cells, the rows
+    ``augmented.holes`` lists, are replaced by seeded uniform draws from
+    ``augmented.pools``: one ``rng.choice`` per imputed column, in column
+    order, from one generator seeded with ``seed``.
     Observed cells and the indicator columns pass through unchanged.
 
     Raises
@@ -44,9 +45,8 @@ def hot_deck_impute(augmented: AugmentedDataset, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(int(seed) & _MASK64)
     filled = augmented.values.copy()
-    for j, pool in zip(augmented.imputed, augmented.pools):
+    for j, rows, pool in zip(augmented.imputed, augmented.holes, augmented.pools):
         if pool.size == 0:
             raise UnimputableColumnError(augmented.base.metas[j].name)
-        missing = ~augmented.base.mask[:, j]
-        filled[missing, j] = rng.choice(pool, size=augmented.n_rows - pool.size)
+        filled[rows, j] = rng.choice(pool, size=rows.size)
     return filled

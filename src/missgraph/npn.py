@@ -12,12 +12,15 @@ bit-identical.
 
 A mid-rank is always one of the half-integers 1, 1.5, ..., n, so every column
 of n rows draws its normal scores from the same 2n - 1 values.  Those are
-computed once per n (:func:`normal_scores`); a column then costs one sort,
-which gives twice each cell's mid-rank as the integer
-``count[dense] + count[dense - 1] + 1`` (the rule of
-``scipy.stats.rankdata(method="average")``, with ``count`` the start of each
-run of equal values and ``dense`` the run number), and one table lookup.  The
-table is ``special.ndtri``, the function ``stats.norm.ppf`` evaluates, of the
+computed once per n (:func:`normal_scores`).  Each block of columns is then
+one 2-D problem on its transpose, where each column is a contiguous row: one
+row-wise sort gives the runs of equal values, and a run of ``size`` cells
+that starts at sorted position ``first`` holds twice the mid-rank
+``2 * first + size + 1`` (the rule of
+``scipy.stats.rankdata(method="average")``).  One table lookup per run and
+one scatter give the scores, and the row-wise mean and standard deviation
+reduce each column exactly as a 1-D column would.  The table is
+``special.ndtri``, the function ``stats.norm.ppf`` evaluates, of the
 Winsorized ``rankdata / (n + 1)``, so the result equals the rank-then-ppf
 route bit for bit.
 """
@@ -32,6 +35,12 @@ import numpy as np
 from scipy import special
 
 from .errors import ContractError, DegenerateColumnError
+
+#: Columns are transformed in blocks of at most this many cells, so that each
+#: temporary array stays within 128 KiB.  Larger arrays are typically fresh
+#: memory mappings whose pages fault on first touch: one 2000 x 25 block took
+#: about 1,000 minor page faults per call, and the columns one at a time none.
+_BLOCK_CELLS = 1 << 14
 
 
 def winsorization_bound(n: int) -> float:
@@ -81,23 +90,37 @@ def nonparanormal_transform(
         raise ContractError(f"need at least 8 rows to transform, got {n}")
     if not np.all(np.isfinite(m)):
         raise ContractError("matrix must be complete (impute first)")
-    scores = normal_scores(n)
-    values = np.empty_like(m)
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    g = np.empty(n)
-    for j in range(p):
-        order = np.argsort(m[:, j])
-        ordered = m[order, j]
-        if ordered[0] == ordered[-1]:
-            name = names[j] if names else f"#{j}"
-            raise DegenerateColumnError(name, "cannot be rank-transformed")
-        np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
-        count = np.append(np.flatnonzero(new_run), n)
-        dense = np.cumsum(new_run)
-        # Twice the mid-rank is count[dense] + count[dense - 1] + 1; its
-        # table entry sits 2 lower.
-        g[order] = scores[count[dense] + count[dense - 1] - 1]
-        centred = g - g.mean()
-        values[:, j] = centred / centred.std(ddof=1)
+    values = np.empty((n, p))
+    width = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, p, width):
+        block = np.ascontiguousarray(m[:, lo:lo + width].T)
+        values[:, lo:lo + width] = _gaussianize_rows(block, names, lo).T
     return TransformedMatrix(values=values)
+
+
+def _gaussianize_rows(
+    mt: np.ndarray, names: list[str] | None, offset: int
+) -> np.ndarray:
+    """The transform of each row of ``mt``: a C-contiguous ``(p, n)`` block of
+    transposed columns, the first of which is column ``offset``."""
+    p, n = mt.shape
+    at = np.argsort(mt, axis=1)  # then made the flat index of each sorted cell
+    at += np.arange(0, p * n, n)[:, None]
+    ordered = mt.take(at)
+    constant = np.flatnonzero(ordered[:, 0] == ordered[:, -1])
+    if constant.size:
+        j = offset + constant[0]
+        name = names[j] if names else f"#{j}"
+        raise DegenerateColumnError(name, "cannot be rank-transformed")
+    # Every row starts a run, so no run of the flattened rows crosses a row.
+    new_run = np.empty((p, n), dtype=bool)
+    new_run[:, 0] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_run[:, 1:])
+    first = np.flatnonzero(new_run)
+    size = np.diff(first, append=p * n)
+    first %= n
+    # Twice the mid-rank is 2*first + size + 1; its table entry sits 2 lower.
+    g = np.empty((p, n))
+    g.put(at, np.repeat(normal_scores(n)[2 * first + size - 1], size))
+    centred = g - g.mean(axis=1, keepdims=True)
+    return centred / centred.std(axis=1, ddof=1, keepdims=True)

@@ -216,15 +216,22 @@ def _build_report(
     elapsed: float,
 ) -> AnalysisReport:
     names = table.names
+    upper = np.triu_indices(table.p_vars, k=1)
     edges = [
         {
             "var_a": names[i],
             "var_b": names[j],
-            "pooled_rho": float(table.pooled_rho[i, j]),
-            "p_value": float(table.p_value[i, j]),
-            "support_count": int(table.support_count[i, j]),
+            "pooled_rho": rho,
+            "p_value": p_value,
+            "support_count": count,
         }
-        for i, j in zip(*np.triu_indices(table.p_vars, k=1))
+        for i, j, rho, p_value, count in zip(
+            upper[0].tolist(),
+            upper[1].tolist(),
+            table.pooled_rho[upper].tolist(),
+            table.p_value[upper].tolist(),
+            table.support_count[upper].tolist(),
+        )
     ]
     meta = {
         "package": "missgraph",

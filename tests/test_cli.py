@@ -921,12 +921,16 @@ class TestExport:
 
 def test_cli_import_leaves_scipy_stats_out():
     # The package calls scipy.special directly; scipy.stats, which takes
-    # about a second to import, is only the tests' oracle.
+    # about a second to import, is only the tests' oracle, and so is
+    # scipy.sparse's connected_components for the glasso screening.
     src = str(Path(missgraph.cli.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    code = "import sys, missgraph.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, missgraph.cli;"
+        " print([m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

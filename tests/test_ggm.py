@@ -127,6 +127,36 @@ class TestGlasso:
         with pytest.raises(ContractError, match="symmetric"):
             glasso_fit(bad, 0.1)
 
+    @pytest.mark.parametrize(
+        ("where", "value", "match"),
+        [
+            ((0, 1), np.nan, "finite"),
+            ((0, 1), np.inf, "finite"),
+            ((1, 1), np.inf, "finite"),
+            ((1, 1), 0.0, "positive diagonal"),
+            ((1, 1), -0.5, "positive diagonal"),
+        ],
+        ids=["nan", "off-diagonal-inf", "diagonal-inf", "zero-diagonal", "negative-diagonal"],
+    )
+    def test_bad_sigma_rejected(self, where, value, match):
+        sigma = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
+        sigma[where] = sigma[where[::-1]] = value
+        for lam in (0.0, 0.1):
+            with pytest.raises(ContractError, match=match):
+                glasso_fit(sigma, lam)
+
+    def test_symmetry_rule_matches_allclose(self, rng):
+        # Entries perturbed across the edge |a - a'| = 1e-10 + 1e-5*|a'|, at
+        # scales where either term of the tolerance dominates.
+        for scale in (1e-8, 1e-5, 1.0, 1e3):
+            for _ in range(200):
+                a = rng.standard_normal((4, 4)) * scale
+                a = (a + a.T) / 2.0
+                i, j = rng.choice(4, size=2, replace=False)
+                edge = 1e-10 + 1e-5 * abs(a[j, i])
+                a[i, j] = a[j, i] + rng.choice([-1.0, 1.0]) * edge * rng.uniform(0.99, 1.01)
+                assert missgraph.ggm._symmetric(a) == np.allclose(a, a.T, atol=1e-10)
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(ContractError, match="non-negative"):
             glasso_fit(np.eye(2), -0.1)
@@ -312,6 +342,49 @@ def components(sigma, lam):
     screen = np.abs(sigma) > lam
     np.fill_diagonal(screen, False)
     return connected_components(screen, directed=False)[1]
+
+
+def same_partition(a, b):
+    return np.array_equal(a[:, None] == a[None, :], b[:, None] == b[None, :])
+
+
+def assert_labels_match_scipy(screen):
+    labels = missgraph.ggm._screen_labels(screen)
+    oracle = connected_components(screen, directed=False)[1]
+    assert same_partition(labels, oracle)
+    # Each label is the smallest column of its component.
+    for label in np.unique(labels):
+        assert label == np.flatnonzero(labels == label).min()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=30),
+    density=st.floats(min_value=0.0, max_value=0.3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_screen_labels_match_connected_components(p, density, seed):
+    rng = np.random.default_rng(seed)
+    screen = rng.random((p, p)) < density
+    assert_labels_match_scipy(screen | screen.T)
+
+
+@pytest.mark.parametrize(
+    "graph", ["single", "empty", "complete", "chain", "two-chains"]
+)
+def test_screen_labels_on_extreme_graphs(graph):
+    order = np.random.default_rng(5).permutation(120)
+    screen = np.zeros((120, 120), dtype=bool)
+    if graph == "single":
+        screen = np.ones((1, 1), dtype=bool)
+    elif graph == "complete":
+        screen[:] = True
+    elif graph == "chain":  # diameter 119, in shuffled column order
+        screen[order[:-1], order[1:]] = True
+    elif graph == "two-chains":  # diameters 59 and 59
+        screen[order[:59], order[1:60]] = True
+        screen[order[60:-1], order[61:]] = True
+    assert_labels_match_scipy(screen | screen.T)
 
 
 def assert_certified(sigma, theta, lam):

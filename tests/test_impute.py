@@ -71,6 +71,10 @@ def test_member_draws_match_an_independent_reference():
     )
     aug = make_completeness_indicators(ds)
     partial = [j for j in range(5) if not ds.mask[:, j].all()]
+    assert aug.imputed.tolist() == partial
+    for j, rows in zip(partial, aug.holes):
+        np.testing.assert_array_equal(rows, np.flatnonzero(~ds.mask[:, j]))
+        assert not rows.flags.writeable
     for seed in (0, split_seed(3, 1), split_seed(3, 2)):
         reference = np.random.default_rng(seed)
         expected = ds.values.copy()

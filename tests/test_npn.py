@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import missgraph.npn
 from missgraph import (
     AnalysisConfig,
     ContractError,
@@ -80,6 +81,49 @@ def test_matches_definition_on_tied_columns(xs):
     assert np.array_equal(
         nonparanormal_transform(matrix).values, reference_transform(matrix)
     )
+
+
+def column_loop_transform(matrix):
+    """The transform as it was written column by column: one sort, the runs
+    of equal values and one table lookup per column."""
+    n, p = matrix.shape
+    scores = normal_scores(n)
+    values = np.empty_like(matrix)
+    new_run = np.empty(n, dtype=bool)
+    new_run[0] = True
+    g = np.empty(n)
+    for j in range(p):
+        order = np.argsort(matrix[:, j])
+        ordered = matrix[order, j]
+        np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
+        count = np.append(np.flatnonzero(new_run), n)
+        dense = np.cumsum(new_run)
+        g[order] = scores[count[dense] + count[dense - 1] - 1]
+        centred = g - g.mean()
+        values[:, j] = centred / centred.std(ddof=1)
+    return values
+
+
+@pytest.mark.parametrize("one_column_blocks", [False, True])
+@pytest.mark.parametrize("n", [8, 9, 37, 500, 3_000])
+def test_matches_the_column_loop_bit_for_bit(n, one_column_blocks, rng, monkeypatch):
+    if one_column_blocks:
+        monkeypatch.setattr(missgraph.npn, "_BLOCK_CELLS", 1)
+    matrix = np.column_stack(
+        [
+            rng.normal(size=n),  # untied
+            np.round(rng.normal(size=n), 1),  # ties from rounding
+            (rng.random(n) < 0.3).astype(float),  # 0/1
+            rng.integers(0, 4, size=n) * 1.5,  # four levels
+        ]
+    )
+    matrix[:2, 2:] = [[0.0, 0.0], [1.0, 1.5]]  # no constant column at n = 8
+    for columns in (matrix, matrix[:, ::-1], np.asfortranarray(matrix)):
+        out = nonparanormal_transform(columns).values
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(
+            out.view(np.int64), column_loop_transform(np.asarray(columns)).view(np.int64)
+        )
 
 
 def test_normal_score_table_is_read_only():
@@ -200,11 +244,20 @@ def test_winsorization_bound_shrinks():
     assert 0 < winsorization_bound(8) < 0.5
 
 
-def test_constant_column_rejected():
+def test_constant_column_rejected(monkeypatch):
     with pytest.raises(DegenerateColumnError, match="flat"):
         nonparanormal_transform(
             np.column_stack([np.ones(10), np.arange(10.0)]), names=["flat", "ok"]
         )
+    # The first constant column is the one named, also when the columns are
+    # transformed one block per column.
+    two_flat = np.column_stack([np.arange(10.0), np.ones(10), np.zeros(10)])
+    for block_cells in (missgraph.npn._BLOCK_CELLS, 1):
+        monkeypatch.setattr(missgraph.npn, "_BLOCK_CELLS", block_cells)
+        with pytest.raises(DegenerateColumnError, match="'first'"):
+            nonparanormal_transform(two_flat, names=["ok", "first", "second"])
+        with pytest.raises(DegenerateColumnError, match="#1"):
+            nonparanormal_transform(two_flat)
 
 
 def test_too_few_rows_rejected():
