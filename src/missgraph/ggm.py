@@ -20,8 +20,9 @@ is stationary and the duality gap
     gap = trace(Sigma_hat @ Theta) - p + lam * ||Theta||_1,off
 
 falls below tolerance.  A solve may start from another precision estimate,
-such as a previous member's: W then starts at Sigma_hat moved towards its
-inverse by at most lam per entry, a point inside the dual box
+such as a previous member's, inverted once in a ``WarmStart`` when many
+solves share it: W then starts at Sigma_hat moved towards its inverse by at
+most lam per entry, a point inside the dual box
 |W - Sigma_hat| <= lam where coordinate descent keeps W positive definite
 (Banerjee, El Ghaoui & d'Aspremont 2008), and each lasso starts from the
 coefficients that estimate implies.  Sparse estimates are biased by the
@@ -96,7 +97,9 @@ def _varying_columns(t: TransformedMatrix | np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] < 2:
         raise ContractError("need a 2-D matrix with at least 2 rows")
     # Exact: the float std of a constant column whose mean rounds is not 0.
-    bad = np.flatnonzero(~(x != x[0]).any(axis=0))
+    # Only the columns whose first two rows tie can be constant.
+    tied = np.flatnonzero(~(x[1] != x[0]))
+    bad = tied[~(x[:, tied] != x[0, tied]).any(axis=0)]
     if bad.size:
         raise DegenerateColumnError(f"#{bad[0]}", "has zero variance")
     return x
@@ -201,8 +204,42 @@ def duality_gap(sigma_hat: np.ndarray, theta: np.ndarray, lam: float) -> float:
     return float(np.sum(sigma_hat * theta) - theta.shape[0] + lam * off_l1)
 
 
+@dataclass(frozen=True)
+class WarmStart:
+    """A precision that ``glasso_fit`` may start from, with its inverse.
+
+    Build it with :meth:`of`, which checks the precision and inverts it once,
+    so that the solves of many similar problems share one inversion.
+    """
+
+    theta: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def of(cls, theta: np.ndarray) -> WarmStart:
+        """Check ``theta`` and invert it.
+
+        Raises ContractError unless ``theta`` is a finite, symmetric,
+        positive-definite matrix.
+        """
+        theta = np.asarray(theta, dtype=float)
+        w = None
+        if (
+            theta.ndim == 2
+            and theta.shape[0] == theta.shape[1]
+            and np.isfinite(theta).all()
+            and _symmetric(theta)
+        ):
+            w = _spd_inverse(theta)
+        if w is None:
+            raise ContractError(
+                "start must be a finite, symmetric, positive-definite matrix"
+            )
+        return cls(theta=theta, w=w)
+
+
 def glasso_fit(
-    sigma_hat: np.ndarray, lam: float, start: np.ndarray | None = None
+    sigma_hat: np.ndarray, lam: float, start: np.ndarray | WarmStart | None = None
 ) -> np.ndarray:
     """Solve the off-diagonal-penalized sparse precision problem.
 
@@ -222,8 +259,8 @@ def glasso_fit(
         the plain inverse is returned.
     start : optional symmetric positive-definite precision of the same shape,
         such as the estimate of a similar ``sigma_hat``, to start from (see
-        ``_block_start``).  The answer is the same optimum to the solver's
-        tolerance; only the path to it is shorter.
+        ``_block_start``), or a ``WarmStart`` of one.  The answer is the same
+        optimum to the solver's tolerance; only the path to it is shorter.
 
     Returns
     -------
@@ -256,18 +293,11 @@ def glasso_fit(
             f"lambda must be finite and non-negative, got {lam}"
         )
     if start is not None:
-        start = np.asarray(start, dtype=float)
-        w_start = None
-        if (
-            start.shape == sigma.shape
-            and np.isfinite(start).all()
-            and _symmetric(start)
-        ):
-            w_start = _spd_inverse(start)
-        if w_start is None:
+        if not isinstance(start, WarmStart):
+            start = WarmStart.of(start)
+        if start.theta.shape != sigma.shape:
             raise ContractError(
-                f"start must be a finite, symmetric, positive-definite"
-                f" {sigma.shape} matrix"
+                f"start must be a {sigma.shape} matrix, got {start.theta.shape}"
             )
     if lam == 0.0:
         try:
@@ -291,7 +321,7 @@ def glasso_fit(
         if start is None:
             w, coef = s.copy(), np.zeros((block.size, block.size))
         else:
-            w, coef = _block_start(s, lam, start[sub], w_start[sub])
+            w, coef = _block_start(s, lam, start.theta[sub], start.w[sub])
         # The gap of theta is the sum of its blocks' gaps.
         theta[sub] = _glasso_block(s, lam, GAP_TOL * block.size / p, w, coef)
     return theta
@@ -522,12 +552,13 @@ def partial_correlations(t_hat: np.ndarray) -> np.ndarray:
 def fit_precision(
     t: TransformedMatrix | np.ndarray,
     lam: float,
-    start: np.ndarray | None = None,
+    start: np.ndarray | WarmStart | None = None,
 ) -> PrecisionFit:
     """Correlation -> sparse precision -> de-biased partial correlations.
 
     ``start`` is passed to ``glasso_fit``: a precision estimate, such as
-    another member's ``theta``, that the solve starts from.
+    another member's ``theta``, or its ``WarmStart``, that the solve starts
+    from.
     """
     x = _as_matrix(t)
     sigma = correlation_matrix(x)

@@ -30,23 +30,46 @@ def split_seed(master_seed: int, k: int) -> int:
     return (int(master_seed) ^ ((k * SEED_SPLIT_CONSTANT) & _MASK64)) & _MASK64
 
 
-def hot_deck_impute(augmented: AugmentedDataset, seed: int) -> np.ndarray:
-    """Return one complete matrix over the augmented variable set.
+def hot_deck_draws(augmented: AugmentedDataset, seed: int) -> list[np.ndarray]:
+    """Seeded hot-deck draws: for each imputed column, in column order, the
+    position in ``augmented.pools`` of the cell copied into each hole.
 
-    A copy of ``augmented.values`` whose missing cells, the rows
-    ``augmented.holes`` lists, are replaced by seeded uniform draws from
-    ``augmented.pools``: one ``rng.choice`` per imputed column, in column
-    order, from one generator seeded with ``seed``.
-    Observed cells and the indicator columns pass through unchanged.
+    One ``rng.choice(pool.size, size=holes)`` per column, from one generator
+    seeded with ``seed``.  It draws the same positions that
+    ``rng.choice(pool, size=holes)`` draws values from.
 
     Raises
     ------
     UnimputableColumnError if a column has missing cells but nothing observed.
     """
     rng = np.random.default_rng(int(seed) & _MASK64)
-    filled = augmented.values.copy()
+    draws = []
     for j, rows, pool in zip(augmented.imputed, augmented.holes, augmented.pools):
         if pool.size == 0:
             raise UnimputableColumnError(augmented.base.metas[j].name)
-        filled[rows, j] = rng.choice(pool, size=rows.size)
+        draws.append(rng.choice(pool.size, size=rows.size))
+    return draws
+
+
+def hot_deck_impute(
+    augmented: AugmentedDataset, seed: int, draws: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """Return one complete matrix over the augmented variable set.
+
+    A copy of ``augmented.values`` whose missing cells, the rows
+    ``augmented.holes`` lists, hold the pool cells that ``draws`` picks;
+    ``draws`` defaults to ``hot_deck_draws(augmented, seed)``.
+    Observed cells and the indicator columns pass through unchanged.
+
+    Raises
+    ------
+    UnimputableColumnError if a column has missing cells but nothing observed.
+    """
+    if draws is None:
+        draws = hot_deck_draws(augmented, seed)
+    filled = augmented.values.copy()
+    for j, rows, pool, idx in zip(
+        augmented.imputed, augmented.holes, augmented.pools, draws
+    ):
+        filled[rows, j] = pool[idx]
     return filled

@@ -23,11 +23,16 @@ reduce each column exactly as a 1-D column would.  The table is
 ``special.ndtri``, the function ``stats.norm.ppf`` evaluates, of the
 Winsorized ``rankdata / (n + 1)``, so the result equals the rank-then-ppf
 route bit for bit.
+
+A hot-deck member's imputed columns need no sort (:class:`FillRanks`): each
+hole holds a copy of an observed cell, so the runs follow from counting how
+often the member drew each distinct observed value.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,5 +127,101 @@ def _gaussianize_rows(
     # Twice the mid-rank is 2*first + size + 1; its table entry sits 2 lower.
     g = np.empty((p, n))
     g.put(at, np.repeat(normal_scores(n)[2 * first + size - 1], size))
+    return _centre_scale(g)
+
+
+def _centre_scale(g: np.ndarray) -> np.ndarray:
+    """Each row of the C-contiguous scores ``g`` centred, with unit sample sd."""
     centred = g - g.mean(axis=1, keepdims=True)
     return centred / centred.std(axis=1, ddof=1, keepdims=True)
+
+
+@dataclass(frozen=True)
+class FillRanks:
+    """Rank transform of columns whose holes hold copies of observed cells.
+
+    :meth:`of` gives each distinct observed value (a pool value) of each
+    column an id, ascending within a column, once per analysis.  A member's
+    run of a value is as long as its count, the observed cells plus the
+    draws, and starts at ``first``, the counts of the column's smaller
+    values summed; :meth:`transform` then applies the mid-rank rule of
+    :func:`_gaussianize_rows` without a sort.
+    """
+
+    cell_ids: np.ndarray  # (q, n): the id of each observed cell, 0 in holes
+    hole_cells: np.ndarray  # flat position in cell_ids of each hole
+    hole_bounds: np.ndarray  # column t's holes are hole_cells[b[t]:b[t + 1]]
+    pool_ids: np.ndarray  # the id of each pool cell, the pools concatenated
+    pool_starts: np.ndarray  # per hole: where its column's pool starts
+    observed: np.ndarray  # per id: the number of observed cells
+    column_starts: np.ndarray  # per id: t * n, for its column t
+
+    @classmethod
+    def of(
+        cls,
+        n: int,
+        holes: Sequence[np.ndarray],
+        pools: Sequence[np.ndarray],
+        names: list[str] | None = None,
+    ) -> FillRanks:
+        """The tables of columns of ``n`` rows, column t missing the rows
+        ``holes[t]`` and holding the non-empty ``pools[t]`` in its other
+        rows, in row order.
+
+        Raises
+        ------
+        ContractError for n < 8;
+        DegenerateColumnError for a pool of one distinct value.
+        """
+        if n < 8:
+            raise ContractError(f"need at least 8 rows to transform, got {n}")
+        q = len(pools)
+        in_hole = np.zeros((q, n), dtype=bool)
+        cell_ids = np.zeros((q, n), dtype=np.intp)
+        sizes = []  # the number of distinct values of each column
+        for t, (rows, pool) in enumerate(zip(holes, pools)):
+            values, ids = np.unique(pool, return_inverse=True)
+            if values.size < 2:
+                name = names[t] if names else f"#{t}"
+                raise DegenerateColumnError(name, "cannot be rank-transformed")
+            in_hole[t, rows] = True
+            # The ids of earlier columns come first.
+            cell_ids[t, ~in_hole[t]] = ids.ravel() + sum(sizes)
+            sizes.append(values.size)
+        # Row-major order lists the cells column by column, in row order.
+        pool_ids = cell_ids[~in_hole]
+        hole_counts = in_hole.sum(axis=1)
+        hole_bounds = np.concatenate([[0], np.cumsum(hole_counts)])
+        ranks = cls(
+            cell_ids=cell_ids,
+            hole_cells=np.flatnonzero(in_hole),
+            hole_bounds=hole_bounds,
+            pool_ids=pool_ids,
+            pool_starts=np.repeat(np.arange(q) * n - hole_bounds[:-1], hole_counts),
+            observed=np.bincount(pool_ids, minlength=sum(sizes)),
+            column_starts=np.repeat(np.arange(q) * n, sizes),
+        )
+        for array in vars(ranks).values():
+            array.setflags(write=False)  # shared by every member
+        return ranks
+
+    def transform(
+        self, draws: Sequence[np.ndarray], out: np.ndarray, columns: np.ndarray
+    ) -> None:
+        """Write the transform of one member into ``out[:, columns]``: column
+        t's holes copy the pool cells at the positions ``draws[t]``."""
+        q, n = self.cell_ids.shape
+        if not q:
+            return
+        fills = self.pool_ids[np.concatenate(draws) + self.pool_starts]
+        counts = self.observed + np.bincount(fills, minlength=self.observed.size)
+        first = np.cumsum(counts) - counts - self.column_starts
+        # Twice the mid-rank is 2*first + count + 1; its table entry sits 2 lower.
+        scores = normal_scores(n)[2 * first + counts - 1]
+        width = max(1, _BLOCK_CELLS // n)
+        for lo in range(0, q, width):
+            hi = min(lo + width, q)
+            g = scores.take(self.cell_ids[lo:hi])
+            held = slice(self.hole_bounds[lo], self.hole_bounds[hi])
+            g.put(self.hole_cells[held] - lo * n, scores.take(fills[held]))
+            out[:, columns[lo:hi]] = _centre_scale(g).T

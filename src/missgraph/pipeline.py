@@ -4,15 +4,19 @@ Stage order is fixed: completeness indicators are derived from the mask,
 missing cells are hot-deck imputed into K complete members, each member is
 rank-Gaussianized, fitted by the graphical lasso at one regularization level
 shared by all members, and de-biased, and the resulting partial correlations
-are Fisher-pooled across members before arcs are extracted.  The level is
-``lambda_value`` when given; otherwise the permutation criterion sets it once
-per analysis, on member 1.  That null keeps only the column marginals, which
-the members share up to the ranks of their filled cells, so the K per-member
-nulls would estimate one quantity.  For the same reason the members'
-correlations differ only slightly, so the graphical lasso of members 2..K
-starts from member 1's sparse precision (never from the member just before),
-and each member's estimate agrees with a cold solve to the solver's
-tolerance.
+are Fisher-pooled across members before arcs are extracted.  A member is
+never built as a filled matrix, except for ``--dump-members``: its hot-deck
+draws are positions in each column's observed cells, and ``FillRanks``
+ranks its imputed columns from how often each observed value was drawn.
+
+The level is ``lambda_value`` when given; otherwise the permutation
+criterion sets it once per analysis, on member 1.  That null keeps only the
+column marginals, which the members share up to the ranks of their filled
+cells, so the K per-member nulls would estimate one quantity.  For the same
+reason the members' correlations differ only slightly, so the graphical
+lasso of members 2..K starts from member 1's sparse precision (never from
+the member just before), inverted once, and each member's estimate agrees
+with a cold solve to the solver's tolerance.
 
 Seeding: member k (1-based) imputes with ``split_seed(seed, k)``; the
 permutation null runs with ``split_seed(split_seed(seed, 1), RIC_STREAM)``,
@@ -46,13 +50,12 @@ from .dataset import (
 from .errors import (
     ConfigError,
     ContractError,
-    DegenerateColumnError,
     UnimputableColumnError,
     stage,
 )
-from .ggm import fit_precision, select_lambda_ric
-from .impute import hot_deck_impute, split_seed
-from .npn import nonparanormal_transform
+from .ggm import WarmStart, fit_precision, select_lambda_ric
+from .impute import hot_deck_draws, hot_deck_impute, split_seed
+from .npn import FillRanks, nonparanormal_transform
 from .pooling import (
     MissingnessArc,
     MnarFinding,
@@ -136,19 +139,18 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
         raise ContractError("analysis needs at least 2 variables")
     names = augmented.names
 
-    def transform(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        return nonparanormal_transform(
-            matrix[:, columns], [names[j] for j in columns]
-        ).values
-
     # The rank transform works column by column, and only the hot-deck-filled
     # columns differ between members: the indicators and the fully observed
-    # columns are transformed once, into the matrix every member reuses.
+    # columns are transformed once, into the matrix every member reuses.  Each
+    # member writes its imputed columns into that matrix straight from its
+    # draws (FillRanks), with the distinct observed values found once here.
     imputed = augmented.imputed
     shared = np.setdiff1d(np.arange(len(names)), imputed)
     with stage("transform"):
         transformed = np.empty((augmented.n_rows, len(names)))
-        transformed[:, shared] = transform(augmented.values, shared)
+        transformed[:, shared] = nonparanormal_transform(
+            augmented.values[:, shared], [names[j] for j in shared]
+        ).values
     # Hot-deck draws come only from a column's observed cells, so checking
     # those once, before member 1, covers every member.
     with stage("impute"):
@@ -156,22 +158,26 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
             if pool.size == 0:
                 raise UnimputableColumnError(names[j])
     with stage("transform"):
-        for j, pool in zip(imputed, augmented.pools):
-            if pool.min() == pool.max():
-                raise DegenerateColumnError(names[j], "cannot be rank-transformed")
+        ranks = FillRanks.of(
+            augmented.n_rows,
+            augmented.holes,
+            augmented.pools,
+            [names[j] for j in imputed],
+        )
     fits = []
     lambdas = []
     # None: set by member 1's permutation null, then used for every member.
     lam = None if config.lambda_value is None else float(config.lambda_value)
+    start = None  # member 1's estimate, inverted once, for members 2..K
     members: list[np.ndarray] = []
     for k in range(1, config.n_imputations + 1):
         member_seed = split_seed(config.seed, k)
         with stage("impute"):
-            member = hot_deck_impute(augmented, member_seed)
-        if config.dump_members:
-            members.append(member)
+            draws = hot_deck_draws(augmented, member_seed)
+            if config.dump_members:
+                members.append(hot_deck_impute(augmented, member_seed, draws))
         with stage("transform"):
-            transformed[:, imputed] = transform(member, imputed)
+            ranks.transform(draws, transformed, imputed)
         if lam is None:
             with stage("select_lambda"):
                 lam = select_lambda_ric(
@@ -181,7 +187,8 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
                 )
         lambdas.append(lam)
         with stage("fit"):
-            start = fits[0].theta if fits else None
+            if len(fits) == 1:
+                start = WarmStart.of(fits[0].theta)
             fits.append(fit_precision(transformed, lam, start=start))
     with stage("pool"):
         table = pool_partial_correlations(fits, metas)

@@ -438,7 +438,7 @@ class TestExitCodes:
         def no_impute(*args, **kwargs):
             raise AssertionError("a member was imputed before the name check")
 
-        monkeypatch.setattr(missgraph.pipeline, "hot_deck_impute", no_impute)
+        monkeypatch.setattr(missgraph.pipeline, "hot_deck_draws", no_impute)
         data = tmp_path / "data.csv"
         rows = "\n".join(f"{'NA' if i % 4 else i},{i % 7},{i % 3}" for i in range(20))
         data.write_text("a,b,a__observed\n" + rows + "\n")
@@ -574,7 +574,7 @@ class TestExitCodes:
             raise AssertionError("a member was imputed before the write check")
 
         # analyze creates its output directory before the first member
-        monkeypatch.setattr(missgraph.pipeline, "hot_deck_impute", no_impute)
+        monkeypatch.setattr(missgraph.pipeline, "hot_deck_draws", no_impute)
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         argv = self.writing_argv(command, blocker / "out", tmp_path, mnar_run)

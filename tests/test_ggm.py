@@ -20,6 +20,7 @@ from missgraph import (
     partial_correlations,
     select_lambda_ric,
 )
+from missgraph.ggm import WarmStart
 
 from .conftest import residual_partial_corr
 
@@ -61,6 +62,26 @@ class TestCorrelationMatrix:
     def test_constant_column_rejected(self):
         with pytest.raises(DegenerateColumnError):
             correlation_matrix(np.column_stack([np.ones(10), np.arange(10.0)]))
+
+    def test_constant_columns_found_exactly(self, rng):
+        # Constant means no row differs from row 0 under !=: NaN differs
+        # from itself, and -0.0 equals 0.0.
+        x = rng.integers(0, 2, size=(6, 12)).astype(float)
+        x[:, 0] = 3.0
+        x[:, 1] = [0.0, -0.0, 0.0, -0.0, 0.0, 0.0]
+        x[:, 2] = [1.0, 1.0, np.nan, 1.0, 1.0, 1.0]  # rows 0 and 1 tie
+        x[:, 3] = np.nan
+        x[:, 4] = [1.0, 2.0, 1.0, 1.0, 1.0, 1.0]  # differs in row 1 only
+        bad = np.flatnonzero(~(x != x[0]).any(axis=0))
+        assert {0, 1} <= set(bad) and not {2, 3, 4} & set(bad)
+        for c in range(x.shape[1]):
+            if c in bad:
+                with pytest.raises(DegenerateColumnError):
+                    missgraph.ggm._varying_columns(x[:, [c]])
+            else:
+                missgraph.ggm._varying_columns(x[:, [c]])
+        with pytest.raises(DegenerateColumnError, match="#3"):
+            missgraph.ggm._varying_columns(x[:, [2, 3, 4, 1, 0]])
 
     def test_constant_column_with_inexact_mean_rejected(self):
         # 5000 copies of 0.1: the mean rounds, so the float std is not 0.
@@ -449,6 +470,17 @@ class TestStart:
         sigma = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
         with pytest.raises(ContractError, match="start"):
             glasso_fit(sigma, 0.1, start=start)
+
+    def test_warm_start_is_the_plain_start_inverted_once(self, rng):
+        sigma = copies_and_masks(rng)
+        start = glasso_fit(copies_and_masks(rng), 0.3)
+        warm = WarmStart.of(start)
+        assert warm.theta is start
+        np.testing.assert_array_equal(
+            glasso_fit(sigma, 0.05, start=warm), glasso_fit(sigma, 0.05, start=start)
+        )
+        with pytest.raises(ContractError, match="start"):
+            glasso_fit(sigma[:3, :3], 0.05, start=warm)
 
     def test_start_outside_the_positive_definite_cone_starts_cold(self):
         # inv(start) is far from sigma: the projection moves every entry by

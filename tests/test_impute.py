@@ -8,6 +8,7 @@ from missgraph import (
     make_completeness_indicators,
     split_seed,
 )
+from missgraph.impute import hot_deck_draws
 
 from .conftest import make_dataset
 
@@ -88,11 +89,39 @@ def test_member_draws_match_an_independent_reference():
         assert member.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("pool_size", [1, 2, 7, 1000, 2**20 + 3])
+def test_index_draws_are_the_value_draws(pool_size):
+    # The pipeline draws positions into each pool and ranks members from
+    # them; the members must hold the values that rng.choice(pool) draws.
+    pool = np.random.default_rng(pool_size).normal(size=pool_size)
+    for seed in (0, 1, split_seed(3, 2)):
+        for size in (1, 5, 4096):
+            values = np.random.default_rng(seed).choice(pool, size=size)
+            positions = np.random.default_rng(seed).choice(pool.size, size=size)
+            assert positions.dtype == np.int64
+            assert pool[positions].tobytes() == values.tobytes()
+
+
+def test_member_is_the_pool_cells_its_draws_pick():
+    rng = np.random.default_rng(2)
+    cols = {f"v{j}": [None if rng.random() < 0.4 else v for v in rng.normal(size=40)]
+            for j in range(3)}
+    aug = make_completeness_indicators(make_dataset(cols))
+    draws = hot_deck_draws(aug, 5)
+    assert [idx.size for idx in draws] == [rows.size for rows in aug.holes]
+    member = hot_deck_impute(aug, 5, draws)
+    assert member.tobytes() == hot_deck_impute(aug, 5).tobytes()
+    for j, rows, pool, idx in zip(aug.imputed, aug.holes, aug.pools, draws):
+        np.testing.assert_array_equal(member[rows, j], pool[idx])
+
+
 def test_unimputable_column_named():
     ds = make_dataset({"bad": [None, None], "ok": [1.0, None]})
     aug = make_completeness_indicators(ds)
     with pytest.raises(UnimputableColumnError, match="bad"):
         hot_deck_impute(aug, 0)
+    with pytest.raises(UnimputableColumnError, match="bad"):
+        hot_deck_draws(aug, 0)
 
 
 def ensemble(aug, k, master_seed):

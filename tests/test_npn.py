@@ -11,13 +11,17 @@ from missgraph import (
     Dataset,
     DegenerateColumnError,
     MechanismSpec,
+    VariableMeta,
     analyze_dataset,
     ar1_precision,
+    hot_deck_impute,
+    make_completeness_indicators,
     nonparanormal_transform,
     simulate_dataset,
     winsorization_bound,
 )
-from missgraph.npn import normal_scores
+from missgraph.impute import hot_deck_draws
+from missgraph.npn import FillRanks, normal_scores
 
 
 def transform_col(col):
@@ -271,3 +275,119 @@ def test_incomplete_matrix_rejected():
     with pytest.raises(ContractError, match="complete"):
         nonparanormal_transform(m)
 
+
+def dataset_with_holes(columns):
+    """A Dataset of the given columns, NaN marking a missing cell."""
+    values = np.column_stack(columns).astype(float)
+    metas = tuple(VariableMeta(name=f"v{j}") for j in range(values.shape[1]))
+    return Dataset(metas=metas, values=values, mask=~np.isnan(values))
+
+
+def assert_counts_rank_like_the_sort(dataset, seeds=(0, 1, 2)):
+    """The count path of each member equals the sort of its filled matrix."""
+    aug = make_completeness_indicators(dataset)
+    ranks = FillRanks.of(aug.n_rows, aug.holes, aug.pools)
+    for seed in seeds:
+        out = np.full((aug.n_rows, len(aug.metas)), np.nan)
+        ranks.transform(hot_deck_draws(aug, seed), out, aug.imputed)
+        filled = hot_deck_impute(aug, seed)[:, aug.imputed]
+        expected = nonparanormal_transform(filled).values
+        assert out[:, aug.imputed].tobytes() == expected.tobytes()
+        others = np.setdiff1d(np.arange(out.shape[1]), aug.imputed)
+        assert np.isnan(out[:, others]).all()  # only the imputed columns written
+
+
+def with_holes(column, rate, rng):
+    column = np.asarray(column, dtype=float).copy()
+    column[rng.random(column.size) < rate] = np.nan
+    column[:2] = [0.0, 1.0]  # two distinct observed values
+    return column
+
+
+def test_count_path_on_binary_and_four_level_columns(rng):
+    n = 300
+    assert_counts_rank_like_the_sort(
+        dataset_with_holes(
+            [
+                with_holes(rng.integers(0, 2, n), 0.3, rng),
+                with_holes(rng.integers(0, 4, n) * 1.5, 0.5, rng),
+                rng.normal(size=n),  # fully observed, between imputed ones
+                with_holes(rng.normal(size=n), 0.2, rng),
+            ]
+        )
+    )
+
+
+def test_count_path_on_a_nearly_empty_column(rng):
+    n = 200
+    column = np.full(n, np.nan)
+    column[rng.choice(n, 15, replace=False)] = rng.integers(0, 2, 15)
+    column[:2] = [0.0, 1.0]
+    assert np.isnan(column).mean() >= 0.9
+    dataset = dataset_with_holes([column, rng.normal(size=n)])
+    assert np.unique(dataset.values[dataset.mask[:, 0], 0]).size == 2
+    assert_counts_rank_like_the_sort(dataset)
+
+
+def test_count_path_on_one_missing_cell(rng):
+    column = rng.normal(size=50)
+    column[17] = np.nan
+    assert_counts_rank_like_the_sort(dataset_with_holes([column, rng.normal(size=50)]))
+
+
+def test_count_path_on_eight_rows():
+    assert_counts_rank_like_the_sort(
+        dataset_with_holes(
+            [
+                [0.0, 1.0, np.nan, 1.0, np.nan, 0.0, 1.0, np.nan],
+                [2.5, np.nan, -1.0, 2.5, 7.0, np.nan, np.nan, np.nan],
+            ]
+        ),
+        seeds=range(10),
+    )
+
+
+def test_count_path_ties_both_zeros(rng):
+    column = np.tile([0.0, -0.0, 1.5, np.nan, -2.0], 40)
+    assert_counts_rank_like_the_sort(dataset_with_holes([column, rng.normal(size=200)]))
+
+
+@pytest.mark.parametrize("one_column_blocks", [False, True])
+def test_count_path_over_several_blocks(one_column_blocks, rng, monkeypatch):
+    n, p = 3_000, 7
+    assert n * p > missgraph.npn._BLOCK_CELLS
+    if one_column_blocks:
+        monkeypatch.setattr(missgraph.npn, "_BLOCK_CELLS", 1)
+    columns = [
+        with_holes(np.round(rng.normal(size=n), 1), rng.uniform(0.05, 0.6), rng)
+        for _ in range(p)
+    ]
+    assert_counts_rank_like_the_sort(dataset_with_holes(columns), seeds=(4,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(8, 40).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3) | st.none(), min_size=n, max_size=n),
+            min_size=1,
+            max_size=3,
+        )
+    ),
+    st.integers(0, 2**32),
+)
+def test_count_path_property_on_small_integer_columns(columns, seed):
+    values = np.array(columns, dtype=float).T  # None becomes NaN
+    for column in values.T:
+        observed = column[~np.isnan(column)]
+        if observed.size == 0 or observed.min() == observed.max():
+            column[:2] = [-4.0, 4.0]  # an imputable, rankable column
+    assert_counts_rank_like_the_sort(dataset_with_holes(list(values.T)), seeds=(seed,))
+
+
+def test_fill_ranks_rejects_what_the_sort_rejects():
+    holes = [np.array([1, 2])]
+    with pytest.raises(ContractError, match="at least 8"):
+        FillRanks.of(7, holes, [np.arange(5.0)])
+    with pytest.raises(DegenerateColumnError, match="'flat'"):
+        FillRanks.of(8, holes, [np.array([0.0, -0.0, 0.0, 0.0, 0.0, -0.0])], ["flat"])

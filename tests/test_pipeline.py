@@ -69,9 +69,9 @@ def test_every_member_uses_member_one_lambda():
 
 def test_constant_observed_column_fails_before_imputation(monkeypatch):
     def no_impute(*args, **kwargs):
-        raise AssertionError("hot_deck_impute called before the shared transform")
+        raise AssertionError("hot_deck_draws called before the shared transform")
 
-    monkeypatch.setattr(missgraph.pipeline, "hot_deck_impute", no_impute)
+    monkeypatch.setattr(missgraph.pipeline, "hot_deck_draws", no_impute)
     values = DATASET.values.copy()
     values[:, 2] = 5.0
     dataset = Dataset(metas=DATASET.metas, values=values, mask=DATASET.mask)
@@ -107,9 +107,9 @@ def test_unusable_imputed_column_fails_before_imputation(
     # Every member draws a column's fills from its observed cells, so a
     # column no member could impute or transform is rejected before member 1.
     def no_impute(*args, **kwargs):
-        raise AssertionError("hot_deck_impute called before the column checks")
+        raise AssertionError("hot_deck_draws called before the column checks")
 
-    monkeypatch.setattr(missgraph.pipeline, "hot_deck_impute", no_impute)
+    monkeypatch.setattr(missgraph.pipeline, "hot_deck_draws", no_impute)
     with pytest.raises(error) as info:
         analyze_dataset(dataset, CONFIG)
     assert info.value.column == column
@@ -149,7 +149,10 @@ def test_members_start_from_member_one_and_match_a_cold_fit(monkeypatch):
     assert len(calls) == CONFIG.n_imputations
     member_1 = calls[0][3]
     assert calls[0][2] is None
-    assert all(start is member_1.theta for _, _, start, _ in calls[1:])
+    # One WarmStart, member 1's estimate inverted once, for members 2..K.
+    starts = [start for _, _, start, _ in calls[1:]]
+    assert all(start is starts[0] for start in starts)
+    assert starts[0].theta is member_1.theta
     for t, lam, _, fit in calls:
         cold = fit_precision(t, lam)
         np.testing.assert_array_equal(fit.support, cold.support)
