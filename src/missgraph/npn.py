@@ -12,27 +12,31 @@ bit-identical.
 
 A mid-rank is always one of the half-integers 1, 1.5, ..., n, so every column
 of n rows draws its normal scores from the same 2n - 1 values.  Those are
-computed once per n (:func:`normal_scores`).  Each block of columns is then
-one 2-D problem on its transpose, where each column is a contiguous row: one
-row-wise sort gives the runs of equal values, and a run of ``size`` cells
-that starts at sorted position ``first`` holds twice the mid-rank
-``2 * first + size + 1`` (the rule of
-``scipy.stats.rankdata(method="average")``).  One table lookup per run and
-one scatter give the scores, and the row-wise mean and standard deviation
-reduce each column exactly as a 1-D column would.  The table is
-``special.ndtri``, the function ``stats.norm.ppf`` evaluates, of the
-Winsorized ``rankdata / (n + 1)``, so the result equals the rank-then-ppf
-route bit for bit.
+computed once per n (:func:`normal_scores`).  The table is ``special.ndtri``,
+the function ``stats.norm.ppf`` evaluates, of the Winsorized
+``rankdata / (n + 1)``, so the result equals the rank-then-ppf route bit for
+bit.
 
-A hot-deck member's imputed columns need no sort (:class:`FillRanks`): each
-hole holds a copy of an observed cell, so the runs follow from counting how
-often the member drew each distinct observed value.
+Every transform reads its mid-ranks off counts (:class:`FillRanks`).  One
+labelling sort per analysis, of each column once, gives each distinct observed
+value of each column an id, ascending within the column: each block of columns
+is one 2-D problem on its transpose, where each column is a contiguous row,
+and one row-wise sort starts a new id wherever the sorted value changes.
+Holes are set to ``+inf`` first, so they sort after every (finite) observed
+cell and take no id.  Every hole of a hot-deck member holds a copy of an
+observed cell, so the run of a value is as long as its count, its observed
+cells plus its draws, and starts at ``first``, the counts of the column's
+smaller values summed.  That run holds twice the mid-rank
+``2 * first + count + 1`` (the rule of
+``scipy.stats.rankdata(method="average")``).  One table lookup per value and
+one gather give the scores, and the row-wise mean and standard deviation
+reduce each column exactly as a 1-D column would.  A complete column is the
+case with no holes and no draws (:func:`nonparanormal_transform`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,49 +95,12 @@ def nonparanormal_transform(
     if m.ndim != 2:
         raise ContractError("expected a 2-D matrix")
     n, p = m.shape
-    if n < 8:
-        raise ContractError(f"need at least 8 rows to transform, got {n}")
     if not np.all(np.isfinite(m)):
         raise ContractError("matrix must be complete (impute first)")
     values = np.empty((n, p))
-    width = max(1, _BLOCK_CELLS // n)
-    for lo in range(0, p, width):
-        block = np.ascontiguousarray(m[:, lo:lo + width].T)
-        values[:, lo:lo + width] = _gaussianize_rows(block, names, lo).T
+    no_draws = [np.empty(0, dtype=np.intp)] * p
+    FillRanks.of(m, names).transform(no_draws, values, np.arange(p))
     return TransformedMatrix(values=values)
-
-
-def _gaussianize_rows(
-    mt: np.ndarray, names: list[str] | None, offset: int
-) -> np.ndarray:
-    """The transform of each row of ``mt``: a C-contiguous ``(p, n)`` block of
-    transposed columns, the first of which is column ``offset``."""
-    p, n = mt.shape
-    at = np.argsort(mt, axis=1)  # then made the flat index of each sorted cell
-    at += np.arange(0, p * n, n)[:, None]
-    ordered = mt.take(at)
-    constant = np.flatnonzero(ordered[:, 0] == ordered[:, -1])
-    if constant.size:
-        j = offset + constant[0]
-        name = names[j] if names else f"#{j}"
-        raise DegenerateColumnError(name, "cannot be rank-transformed")
-    # Every row starts a run, so no run of the flattened rows crosses a row.
-    new_run = np.empty((p, n), dtype=bool)
-    new_run[:, 0] = True
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_run[:, 1:])
-    first = np.flatnonzero(new_run)
-    size = np.diff(first, append=p * n)
-    first %= n
-    # Twice the mid-rank is 2*first + size + 1; its table entry sits 2 lower.
-    g = np.empty((p, n))
-    g.put(at, np.repeat(normal_scores(n)[2 * first + size - 1], size))
-    return _centre_scale(g)
-
-
-def _centre_scale(g: np.ndarray) -> np.ndarray:
-    """Each row of the C-contiguous scores ``g`` centred, with unit sample sd."""
-    centred = g - g.mean(axis=1, keepdims=True)
-    return centred / centred.std(axis=1, ddof=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -141,14 +108,14 @@ class FillRanks:
     """Rank transform of columns whose holes hold copies of observed cells.
 
     :meth:`of` gives each distinct observed value (a pool value) of each
-    column an id, ascending within a column, once per analysis.  A member's
-    run of a value is as long as its count, the observed cells plus the
-    draws, and starts at ``first``, the counts of the column's smaller
-    values summed; :meth:`transform` then applies the mid-rank rule of
-    :func:`_gaussianize_rows` without a sort.
+    column an id, ascending within a column, by one sort per analysis.  A
+    member's run of a value is as long as its count, the observed cells plus
+    the draws, and starts at ``first``, the counts of the column's smaller
+    values summed; :meth:`transform` then applies the mid-rank rule without
+    a sort.
     """
 
-    cell_ids: np.ndarray  # (q, n): the id of each observed cell, 0 in holes
+    cell_ids: np.ndarray  # (q, n): each cell's id; transform overwrites holes'
     hole_cells: np.ndarray  # flat position in cell_ids of each hole
     hole_bounds: np.ndarray  # column t's holes are hole_cells[b[t]:b[t + 1]]
     pool_ids: np.ndarray  # the id of each pool cell, the pools concatenated
@@ -157,37 +124,52 @@ class FillRanks:
     column_starts: np.ndarray  # per id: t * n, for its column t
 
     @classmethod
-    def of(
-        cls,
-        n: int,
-        holes: Sequence[np.ndarray],
-        pools: Sequence[np.ndarray],
-        names: list[str] | None = None,
-    ) -> FillRanks:
-        """The tables of columns of ``n`` rows, column t missing the rows
-        ``holes[t]`` and holding the non-empty ``pools[t]`` in its other
-        rows, in row order.
+    def of(cls, columns: np.ndarray, names: list[str] | None = None) -> FillRanks:
+        """The tables of the ``(n, q)`` float block ``columns``: NaN in its
+        holes, finite in its observed cells, column t's pool being its
+        observed cells in row order.
 
         Raises
         ------
         ContractError for n < 8;
-        DegenerateColumnError for a pool of one distinct value.
+        DegenerateColumnError for the first column with fewer than two
+        distinct observed values.
         """
+        n, q = columns.shape
         if n < 8:
             raise ContractError(f"need at least 8 rows to transform, got {n}")
-        q = len(pools)
-        in_hole = np.zeros((q, n), dtype=bool)
-        cell_ids = np.zeros((q, n), dtype=np.intp)
-        sizes = []  # the number of distinct values of each column
-        for t, (rows, pool) in enumerate(zip(holes, pools)):
-            values, ids = np.unique(pool, return_inverse=True)
-            if values.size < 2:
+        in_hole = np.empty((q, n), dtype=bool)
+        cell_ids = np.empty((q, n), dtype=np.intp)
+        sizes = np.empty(q, dtype=np.intp)  # distinct observed values
+        next_id = 0
+        width = max(1, _BLOCK_CELLS // n)
+        for lo in range(0, q, width):
+            hi = min(lo + width, q)
+            block = columns[:, lo:hi].T.copy()  # C-contiguous, holes overwritten
+            holes = in_hole[lo:hi]
+            np.isnan(block, out=holes)
+            block[holes] = np.inf
+            # The sort order, then made the flat index of each sorted cell.
+            at = np.argsort(block, axis=1)
+            at += np.arange(0, block.size, n)[:, None]
+            ordered = block.take(at)
+            # Every row starts a run, so no run of the flattened rows crosses
+            # a row; the holes sort last and start none.
+            new = np.empty(block.shape, dtype=bool)
+            new[:, 0] = True
+            np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+            new &= ordered < np.inf
+            new.sum(axis=1, out=sizes[lo:hi])
+            degenerate = np.flatnonzero(sizes[lo:hi] < 2)
+            if degenerate.size:
+                t = lo + degenerate[0]
                 name = names[t] if names else f"#{t}"
                 raise DegenerateColumnError(name, "cannot be rank-transformed")
-            in_hole[t, rows] = True
             # The ids of earlier columns come first.
-            cell_ids[t, ~in_hole[t]] = ids.ravel() + sum(sizes)
-            sizes.append(values.size)
+            ids = np.cumsum(new)
+            ids += next_id - 1
+            next_id = ids[-1] + 1
+            cell_ids[lo:hi].put(at, ids)
         # Row-major order lists the cells column by column, in row order.
         pool_ids = cell_ids[~in_hole]
         hole_counts = in_hole.sum(axis=1)
@@ -198,7 +180,7 @@ class FillRanks:
             hole_bounds=hole_bounds,
             pool_ids=pool_ids,
             pool_starts=np.repeat(np.arange(q) * n - hole_bounds[:-1], hole_counts),
-            observed=np.bincount(pool_ids, minlength=sum(sizes)),
+            observed=np.bincount(pool_ids, minlength=next_id),
             column_starts=np.repeat(np.arange(q) * n, sizes),
         )
         for array in vars(ranks).values():
@@ -206,10 +188,14 @@ class FillRanks:
         return ranks
 
     def transform(
-        self, draws: Sequence[np.ndarray], out: np.ndarray, columns: np.ndarray
+        self, draws: list[np.ndarray], out: np.ndarray, columns: np.ndarray
     ) -> None:
-        """Write the transform of one member into ``out[:, columns]``: column
-        t's holes copy the pool cells at the positions ``draws[t]``."""
+        """Write the transform of one member into ``out[:, columns]``.
+
+        ``draws[t]`` lists, for each hole of column t in row order, the
+        position of the cell it copies among the column's observed cells in
+        row order, that is in ``AugmentedDataset.pools[t]``.
+        """
         q, n = self.cell_ids.shape
         if not q:
             return
@@ -224,4 +210,7 @@ class FillRanks:
             g = scores.take(self.cell_ids[lo:hi])
             held = slice(self.hole_bounds[lo], self.hole_bounds[hi])
             g.put(self.hole_cells[held] - lo * n, scores.take(fills[held]))
-            out[:, columns[lo:hi]] = _centre_scale(g).T
+            centred = g - g.mean(axis=1, keepdims=True)
+            out[:, columns[lo:hi]] = (
+                centred / centred.std(axis=1, ddof=1, keepdims=True)
+            ).T

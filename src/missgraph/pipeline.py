@@ -143,7 +143,7 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     # columns differ between members: the indicators and the fully observed
     # columns are transformed once, into the matrix every member reuses.  Each
     # member writes its imputed columns into that matrix straight from its
-    # draws (FillRanks), with the distinct observed values found once here.
+    # draws (FillRanks), whose labelling sort of those columns runs once, here.
     imputed = augmented.imputed
     shared = np.setdiff1d(np.arange(len(names)), imputed)
     with stage("transform"):
@@ -152,17 +152,15 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
             augmented.values[:, shared], [names[j] for j in shared]
         ).values
     # Hot-deck draws come only from a column's observed cells, so checking
-    # those once, before member 1, covers every member.
+    # those once, before member 1, covers every member.  It comes before
+    # FillRanks.of, which would call a column with no observed cell constant.
     with stage("impute"):
         for j, pool in zip(imputed, augmented.pools):
             if pool.size == 0:
                 raise UnimputableColumnError(names[j])
     with stage("transform"):
         ranks = FillRanks.of(
-            augmented.n_rows,
-            augmented.holes,
-            augmented.pools,
-            [names[j] for j in imputed],
+            augmented.values[:, imputed], [names[j] for j in imputed]
         )
     fits = []
     lambdas = []

@@ -284,14 +284,15 @@ def dataset_with_holes(columns):
 
 
 def assert_counts_rank_like_the_sort(dataset, seeds=(0, 1, 2)):
-    """The count path of each member equals the sort of its filled matrix."""
+    """The count path of each member equals the definition on its filled
+    matrix, ranked by scipy."""
     aug = make_completeness_indicators(dataset)
-    ranks = FillRanks.of(aug.n_rows, aug.holes, aug.pools)
+    ranks = FillRanks.of(aug.values[:, aug.imputed])
     for seed in seeds:
         out = np.full((aug.n_rows, len(aug.metas)), np.nan)
         ranks.transform(hot_deck_draws(aug, seed), out, aug.imputed)
         filled = hot_deck_impute(aug, seed)[:, aug.imputed]
-        expected = nonparanormal_transform(filled).values
+        expected = reference_transform(filled)
         assert out[:, aug.imputed].tobytes() == expected.tobytes()
         others = np.setdiff1d(np.arange(out.shape[1]), aug.imputed)
         assert np.isnan(out[:, others]).all()  # only the imputed columns written
@@ -365,29 +366,63 @@ def test_count_path_over_several_blocks(one_column_blocks, rng, monkeypatch):
     assert_counts_rank_like_the_sort(dataset_with_holes(columns), seeds=(4,))
 
 
+@pytest.mark.parametrize("one_column_blocks", [False, True])
+def test_count_path_with_holes_in_every_column(one_column_blocks, rng, monkeypatch):
+    # Holes sort last in each row of a block, as +inf, right after the
+    # column's largest value and right before the next column's smallest.
+    if one_column_blocks:
+        monkeypatch.setattr(missgraph.npn, "_BLOCK_CELLS", 1)
+    n = 40
+    columns = []
+    for t in range(6):
+        column = rng.integers(-2, 3, n).astype(float)
+        column[[0, n - 1, 5 + t]] = np.nan  # the first and last rows too
+        column[[1, n - 2]] = [-3.0, 3.0]  # the extremes beside a hole
+        columns.append(column)
+    assert_counts_rank_like_the_sort(dataset_with_holes(columns))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(8, 40).flatmap(
         lambda n: st.lists(
-            st.lists(st.integers(-3, 3) | st.none(), min_size=n, max_size=n),
+            st.lists(
+                st.integers(-3, 3) | st.sampled_from([1e300, -1e300, -0.0]) | st.none(),
+                min_size=n,
+                max_size=n,
+            ),
             min_size=1,
             max_size=3,
         )
     ),
     st.integers(0, 2**32),
+    st.booleans(),
 )
-def test_count_path_property_on_small_integer_columns(columns, seed):
+def test_count_path_property_on_small_integer_columns(columns, seed, max_beside_hole):
     values = np.array(columns, dtype=float).T  # None becomes NaN
     for column in values.T:
+        holes = np.flatnonzero(np.isnan(column))
+        if max_beside_hole and 0 < holes.size < column.size:
+            # The largest observed value in a row next to a hole.
+            beside = holes[0] - 1 if holes[0] else np.flatnonzero(~np.isnan(column))[0]
+            column[beside] = np.nanmax(column)
         observed = column[~np.isnan(column)]
         if observed.size == 0 or observed.min() == observed.max():
             column[:2] = [-4.0, 4.0]  # an imputable, rankable column
     assert_counts_rank_like_the_sort(dataset_with_holes(list(values.T)), seeds=(seed,))
 
 
-def test_fill_ranks_rejects_what_the_sort_rejects():
-    holes = [np.array([1, 2])]
+def test_fill_ranks_rejects_short_and_constant_columns():
     with pytest.raises(ContractError, match="at least 8"):
-        FillRanks.of(7, holes, [np.arange(5.0)])
+        FillRanks.of(np.array([[0.0, 1.0, np.nan, 2.0, 3.0, np.nan, 4.0]]).T)
+    columns = np.column_stack(
+        [
+            [0.0, 1.0, np.nan, 1.0, 0.0, 1.0, 0.0, 1.0],
+            [0.0, -0.0, np.nan, 0.0, 0.0, np.nan, 0.0, -0.0],  # one value
+            [np.nan] * 8,  # none
+        ]
+    )
     with pytest.raises(DegenerateColumnError, match="'flat'"):
-        FillRanks.of(8, holes, [np.array([0.0, -0.0, 0.0, 0.0, 0.0, -0.0])], ["flat"])
+        FillRanks.of(columns, ["ok", "flat", "empty"])
+    with pytest.raises(DegenerateColumnError, match="#1"):  # the empty one
+        FillRanks.of(columns[:, [0, 2, 1]])
