@@ -45,7 +45,7 @@ from .ggm import (
     partial_correlations,
     select_lambda_ric,
 )
-from .impute import hot_deck_impute, split_seed
+from .impute import hot_deck_draws, hot_deck_impute, split_seed
 from .npn import TransformedMatrix, nonparanormal_transform, winsorization_bound
 from .pipeline import (
     AnalysisConfig,
@@ -116,6 +116,7 @@ __all__ = [
     "fit_precision",
     "generate_gaussian",
     "glasso_fit",
+    "hot_deck_draws",
     "hot_deck_impute",
     "indicator_name",
     "kkt_certificate",

@@ -34,42 +34,34 @@ def hot_deck_draws(augmented: AugmentedDataset, seed: int) -> list[np.ndarray]:
     """Seeded hot-deck draws: for each imputed column, in column order, the
     position in ``augmented.pools`` of the cell copied into each hole.
 
-    One ``rng.choice(pool.size, size=holes)`` per column, from one generator
-    seeded with ``seed``.  It draws the same positions that
-    ``rng.choice(pool, size=holes)`` draws values from.
+    One ``rng.choice(pool.size, size=n_rows - pool.size)`` per column, from
+    one generator seeded with ``seed``.  It draws the same positions that
+    ``rng.choice(pool, size=...)`` draws values from.
 
     Raises
     ------
     UnimputableColumnError if a column has missing cells but nothing observed.
     """
     rng = np.random.default_rng(int(seed) & _MASK64)
+    n_rows = augmented.n_rows
     draws = []
-    for j, rows, pool in zip(augmented.imputed, augmented.holes, augmented.pools):
+    for j, pool in zip(augmented.imputed, augmented.pools):
         if pool.size == 0:
             raise UnimputableColumnError(augmented.base.metas[j].name)
-        draws.append(rng.choice(pool.size, size=rows.size))
+        draws.append(rng.choice(pool.size, size=n_rows - pool.size))
     return draws
 
 
-def hot_deck_impute(
-    augmented: AugmentedDataset, seed: int, draws: list[np.ndarray] | None = None
-) -> np.ndarray:
-    """Return one complete matrix over the augmented variable set.
+def hot_deck_impute(augmented: AugmentedDataset, draws: list[np.ndarray]) -> np.ndarray:
+    """Return the complete matrix over the augmented variable set that
+    ``draws`` (from :func:`hot_deck_draws`) describes.
 
-    A copy of ``augmented.values`` whose missing cells, the rows
-    ``augmented.holes`` lists, hold the pool cells that ``draws`` picks;
-    ``draws`` defaults to ``hot_deck_draws(augmented, seed)``.
-    Observed cells and the indicator columns pass through unchanged.
-
-    Raises
-    ------
-    UnimputableColumnError if a column has missing cells but nothing observed.
+    A copy of ``augmented.values`` whose missing cells hold the pool cells
+    that ``draws`` picks, in row order.  Observed cells and the indicator
+    columns pass through unchanged.
     """
-    if draws is None:
-        draws = hot_deck_draws(augmented, seed)
     filled = augmented.values.copy()
-    for j, rows, pool, idx in zip(
-        augmented.imputed, augmented.holes, augmented.pools, draws
-    ):
-        filled[rows, j] = pool[idx]
+    mask = augmented.base.mask
+    for j, pool, idx in zip(augmented.imputed, augmented.pools, draws):
+        filled[~mask[:, j], j] = pool[idx]
     return filled

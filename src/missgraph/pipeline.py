@@ -5,9 +5,9 @@ missing cells are hot-deck imputed into K complete members, each member is
 rank-Gaussianized, fitted by the graphical lasso at one regularization level
 shared by all members, and de-biased, and the resulting partial correlations
 are Fisher-pooled across members before arcs are extracted.  A member is
-never built as a filled matrix, except for ``--dump-members``: its hot-deck
-draws are positions in each column's observed cells, and ``FillRanks``
-ranks its imputed columns from how often each observed value was drawn.
+its hot-deck draws, positions in each column's observed cells: ``FillRanks``
+ranks its imputed columns from how often each observed value was drawn, and
+only ``--dump-members`` builds the filled matrix, from the same draws.
 
 The level is ``lambda_value`` when given; otherwise the permutation
 criterion sets it once per analysis, on member 1.  That null keeps only the
@@ -173,7 +173,7 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
         with stage("impute"):
             draws = hot_deck_draws(augmented, member_seed)
             if config.dump_members:
-                members.append(hot_deck_impute(augmented, member_seed, draws))
+                members.append(hot_deck_impute(augmented, draws))
         with stage("transform"):
             ranks.transform(draws, transformed, imputed)
         if lam is None:

@@ -19,6 +19,7 @@ import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path, PurePath
 
+from .dataset import VarKind
 from .errors import ConfigError
 
 EXPORT_FORMATS = ("dot", "json", "csv")
@@ -164,10 +165,13 @@ class AnalysisReport:
         return json.dumps(json_record(self), indent=2, ensure_ascii=False) + "\n"
 
     def observation_names(self) -> list[str]:
-        return [v["name"] for v in self.variables if v["kind"] == "Observation"]
+        return self._names(VarKind.OBSERVATION)
 
     def completeness_names(self) -> list[str]:
-        return [v["name"] for v in self.variables if v["kind"] == "Completeness"]
+        return self._names(VarKind.COMPLETENESS)
+
+    def _names(self, kind: VarKind) -> list[str]:
+        return [v["name"] for v in self.variables if v["kind"] == kind.value]
 
 
 def _dot_quote(name: str) -> str:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .augment import indicator_name
-from .dataset import Category, Dataset, VariableMeta
+from .dataset import Category, Dataset, VariableMeta, VarKind
 from .errors import ConfigError, ContractError, MissgraphError
 from .impute import split_seed
 from .pipeline import AnalysisConfig, analyze_dataset
@@ -323,8 +323,8 @@ def run_benchmark(truths: list[GroundTruth], config=None) -> dict:
             failures.append(f"{label}: {exc}")
             continue
         found = {(a.observation_var, a.completeness_var) for a in result.arcs}
-        roles = Counter(v["kind"] for v in result.report.variables)
-        stats["mixed_pairs"] += roles["Completeness"] * roles["Observation"]
+        roles = Counter(VarKind(v["kind"]) for v in result.report.variables)
+        stats["mixed_pairs"] += roles[VarKind.COMPLETENESS] * roles[VarKind.OBSERVATION]
         expected = truth.expected_arcs()
         stats["false_arcs"] += len(found - expected - truth.indirect_arcs())
         for spec in truth.specs:

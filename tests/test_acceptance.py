@@ -22,6 +22,7 @@ from missgraph import (
     desparsify,
     fisher_pool,
     glasso_fit,
+    hot_deck_draws,
     hot_deck_impute,
     indicator_name,
     kkt_certificate,
@@ -133,7 +134,8 @@ def test_criterion_3_imputation_self_correlation_null():
             values=values[:, None],
             mask=~missing[:, None],
         )
-        member = hot_deck_impute(make_completeness_indicators(ds), seed)
+        augmented = make_completeness_indicators(ds)
+        member = hot_deck_impute(augmented, hot_deck_draws(augmented, seed))
         corrs.append(np.corrcoef(member[:, 0], member[:, 1])[0, 1])
     mean_corr = float(np.mean(corrs))
     bound = 4 / math.sqrt(n)

@@ -99,7 +99,9 @@ def test_layout_is_decided_once():
     assert aug.pools[1].size == 0
     assert np.shares_memory(aug.indicator_values, aug.values)
     np.testing.assert_array_equal(aug.values[:, :3], ds.values)
-    assert [rows.tolist() for rows in aug.holes] == [[0], [0, 1, 2]]
-    assert not any(
-        a.flags.writeable for a in (aug.values, aug.imputed, *aug.holes, *aug.pools)
-    )
+    holes = [np.flatnonzero(~aug.base.mask[:, j]) for j in aug.imputed]
+    assert [rows.tolist() for rows in holes] == [[0], [0, 1, 2]]
+    assert [rows.size for rows in holes] == [
+        aug.n_rows - pool.size for pool in aug.pools
+    ]
+    assert not any(a.flags.writeable for a in (aug.values, aug.imputed, *aug.pools))

@@ -713,6 +713,8 @@ class TestSimulate:
         "names_string": {"names": "ab"},
         "matrix_row_not_a_list": {"precision": [[1.0, 0.0], 1.0]},
         "template_without_p": {"precision": {"type": "identity"}},
+        "ar1_without_rho": {"precision": {"type": "ar1", "p": 2}},
+        "unknown_template": {"precision": {"type": "band", "p": 2}},
         "categories_list": {"categories": ["Other"]},
         "unknown_category": {"categories": {"a": "Lab"}},
         "mechanism_not_object": {"mechanisms": [5]},
@@ -752,10 +754,23 @@ class TestSimulate:
             {"precision": {"type": "identity", "p": -1}},
             {"mechanisms": [{"kind": "MCAR", "target": "a", "rate": 1.5}]},
             {"categories": {"lactat": "BloodTests"}},
+            {"precision": {"type": "ar1", "p": 2, "rho": 1.0}},
+            {
+                "mechanisms": [
+                    {"kind": "MAR", "target": "a", "driver": "z", "rate": 0.3}
+                ]
+            },
+            {
+                "mechanisms": [
+                    {"kind": "MCAR", "target": "a", "rate": 0.3},
+                    {"kind": "MNAR", "target": "a", "rate": 0.3, "slope": 1.0},
+                ]
+            },
         ],
         ids=[
             "n_zero", "n_negative", "duplicate_names", "ragged", "non_square",
-            "negative_p", "rate_out_of_range", "unknown_category",
+            "negative_p", "rate_out_of_range", "unknown_category", "ar1_rho_one",
+            "unknown_driver", "two_mechanisms_one_target",
         ],
     )
     def test_bad_spec_value_is_numeric_error(self, patch, tmp_path, capsys):

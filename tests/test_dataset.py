@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from missgraph import (
     Category,
+    Dataset,
     ParseError,
     SchemaError,
+    VariableMeta,
+    VarKind,
     load_schema,
     missing_profile,
     parse_csv,
@@ -125,6 +128,53 @@ class TestParseCsv:
         schema = write(tmp_path, '{"hr": "Nonsense"}', name="schema.json")
         with pytest.raises(SchemaError, match="unknown category"):
             load_schema(schema)
+
+    @pytest.mark.parametrize(
+        "content, match",
+        [(None, "cannot read"), ('["hr"]', "JSON object")],
+        ids=["missing", "not_object"],
+    )
+    def test_unusable_schema_file(self, tmp_path, content, match):
+        schema = tmp_path / "schema.json"
+        if content is not None:
+            schema.write_text(content)
+        with pytest.raises(SchemaError, match=match):
+            load_schema(schema)
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "kind, parent, match",
+        [
+            (VarKind.COMPLETENESS, None, "needs a parent"),
+            (VarKind.OBSERVATION, "v", "cannot have a parent"),
+        ],
+        ids=["indicator_without_parent", "observation_with_parent"],
+    )
+    def test_variable_meta_parent_rules(self, kind, parent, match):
+        with pytest.raises(ValueError, match=match):
+            VariableMeta(name="x", kind=kind, parent=parent)
+
+    @pytest.mark.parametrize(
+        "names, values, mask, match",
+        [
+            (["a"], [1.0, 2.0], [True, True], "2-D"),
+            (["a"], [[1.0], [2.0]], [[True]], "equal shape"),
+            (["a"], np.empty((0, 1)), np.empty((0, 1), dtype=bool), "one row"),
+            (["a", "b"], [[1.0]], [[True]], "one VariableMeta"),
+            (["a", "a"], [[1.0, 2.0]], [[True, True]], "unique"),
+            (["a"], [[np.nan]], [[True]], "observed cells finite"),
+            (["a"], [[1.0]], [[False]], "masked cells must be NaN"),
+        ],
+        ids=[
+            "one_dimensional", "mask_shape", "no_rows", "meta_count",
+            "duplicate_names", "nan_observed", "value_under_mask",
+        ],
+    )
+    def test_dataset_rejects_inconsistent_input(self, names, values, mask, match):
+        metas = [VariableMeta(name=name) for name in names]
+        with pytest.raises(ValueError, match=match):
+            Dataset(metas=metas, values=values, mask=mask)
 
 
 class TestMissingProfile:

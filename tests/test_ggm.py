@@ -148,6 +148,11 @@ class TestGlasso:
         with pytest.raises(ContractError, match="symmetric"):
             glasso_fit(bad, 0.1)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)], ids=["wide", "vector"])
+    def test_non_square_input_rejected(self, shape):
+        with pytest.raises(ContractError, match="square"):
+            glasso_fit(np.ones(shape), 0.1)
+
     @pytest.mark.parametrize(
         ("where", "value", "match"),
         [

@@ -13,18 +13,23 @@ from missgraph.impute import hot_deck_draws
 from .conftest import make_dataset
 
 
+def impute(aug, seed):
+    """The member that seed ``seed`` draws, as a filled matrix."""
+    return hot_deck_impute(aug, hot_deck_draws(aug, seed))
+
+
 def test_draws_stay_on_observed_support():
     ds = make_dataset({"v": [1.0, None, 3.0]})
     aug = make_completeness_indicators(ds)
     for seed in range(50):
-        member = hot_deck_impute(aug, seed)
+        member = impute(aug, seed)
         assert member[1, 0] in (1.0, 3.0)
 
 
 def test_fully_observed_column_bit_identical():
     ds = make_dataset({"v": [1.25, 2.5, -7.125], "w": [1.0, None, 2.0]})
     aug = make_completeness_indicators(ds)
-    member = hot_deck_impute(aug, 3)
+    member = impute(aug, 3)
     np.testing.assert_array_equal(member[:, 0], ds.values[:, 0])
 
 
@@ -35,7 +40,7 @@ def test_observed_cells_never_altered():
         col[i] = None
     ds = make_dataset({"v": col})
     aug = make_completeness_indicators(ds)
-    member = hot_deck_impute(aug, 11)
+    member = impute(aug, 11)
     observed = ds.mask[:, 0]
     np.testing.assert_array_equal(member[observed, 0], ds.values[observed, 0])
 
@@ -46,7 +51,7 @@ def test_imputed_distribution_matches_observed_frequencies():
     aug = make_completeness_indicators(ds)
     n_seeds = 10_000
     hits_one = sum(
-        hot_deck_impute(aug, seed)[1, 0] == 1.0 for seed in range(n_seeds)
+        impute(aug, seed)[1, 0] == 1.0 for seed in range(n_seeds)
     )
     assert hits_one / n_seeds == pytest.approx(1 / 3, abs=0.02)
 
@@ -54,7 +59,7 @@ def test_imputed_distribution_matches_observed_frequencies():
 def test_indicator_columns_pass_through():
     ds = make_dataset({"v": [1.0, None, 3.0]})
     aug = make_completeness_indicators(ds)
-    member = hot_deck_impute(aug, 9)
+    member = impute(aug, 9)
     np.testing.assert_array_equal(member[:, 1], [1.0, 0.0, 1.0])
 
 
@@ -73,9 +78,6 @@ def test_member_draws_match_an_independent_reference():
     aug = make_completeness_indicators(ds)
     partial = [j for j in range(5) if not ds.mask[:, j].all()]
     assert aug.imputed.tolist() == partial
-    for j, rows in zip(partial, aug.holes):
-        np.testing.assert_array_equal(rows, np.flatnonzero(~ds.mask[:, j]))
-        assert not rows.flags.writeable
     for seed in (0, split_seed(3, 1), split_seed(3, 2)):
         reference = np.random.default_rng(seed)
         expected = ds.values.copy()
@@ -84,7 +86,7 @@ def test_member_draws_match_an_independent_reference():
             n_missing = int((~ds.mask[:, j]).sum())
             expected[~ds.mask[:, j], j] = reference.choice(observed, n_missing)
         expected = np.hstack([expected, ds.mask[:, partial].astype(float)])
-        member = hot_deck_impute(aug, seed)
+        member = impute(aug, seed)
         np.testing.assert_array_equal(member, expected)
         assert member.tobytes() == expected.tobytes()
 
@@ -108,10 +110,10 @@ def test_member_is_the_pool_cells_its_draws_pick():
             for j in range(3)}
     aug = make_completeness_indicators(make_dataset(cols))
     draws = hot_deck_draws(aug, 5)
-    assert [idx.size for idx in draws] == [rows.size for rows in aug.holes]
-    member = hot_deck_impute(aug, 5, draws)
-    assert member.tobytes() == hot_deck_impute(aug, 5).tobytes()
-    for j, rows, pool, idx in zip(aug.imputed, aug.holes, aug.pools, draws):
+    holes = [np.flatnonzero(~aug.base.mask[:, j]) for j in aug.imputed]
+    assert [idx.size for idx in draws] == [rows.size for rows in holes]
+    member = hot_deck_impute(aug, draws)
+    for j, rows, pool, idx in zip(aug.imputed, holes, aug.pools, draws):
         np.testing.assert_array_equal(member[rows, j], pool[idx])
 
 
@@ -119,14 +121,12 @@ def test_unimputable_column_named():
     ds = make_dataset({"bad": [None, None], "ok": [1.0, None]})
     aug = make_completeness_indicators(ds)
     with pytest.raises(UnimputableColumnError, match="bad"):
-        hot_deck_impute(aug, 0)
-    with pytest.raises(UnimputableColumnError, match="bad"):
         hot_deck_draws(aug, 0)
 
 
 def ensemble(aug, k, master_seed):
     """Members 1..k as the pipeline draws them."""
-    return [hot_deck_impute(aug, split_seed(master_seed, i)) for i in range(1, k + 1)]
+    return [impute(aug, split_seed(master_seed, i)) for i in range(1, k + 1)]
 
 
 class TestEnsemble:
@@ -184,6 +184,6 @@ def test_self_correlation_null_under_mnar():
         col = [None if m else float(v) for v, m in zip(latent, missing)]
         ds = make_dataset({"a": col})
         aug = make_completeness_indicators(ds)
-        member = hot_deck_impute(aug, seed)
+        member = impute(aug, seed)
         corrs.append(np.corrcoef(member[:, 0], member[:, 1])[0, 1])
     assert abs(np.mean(corrs)) <= 4 / np.sqrt(n)

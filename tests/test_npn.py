@@ -269,6 +269,11 @@ def test_too_few_rows_rejected():
         nonparanormal_transform(np.arange(7.0)[:, None])
 
 
+def test_one_dimensional_input_rejected():
+    with pytest.raises(ContractError, match="2-D"):
+        nonparanormal_transform(np.arange(10.0))
+
+
 def test_incomplete_matrix_rejected():
     m = np.arange(16.0).reshape(8, 2)
     m[3, 1] = np.nan
@@ -290,8 +295,9 @@ def assert_counts_rank_like_the_sort(dataset, seeds=(0, 1, 2)):
     ranks = FillRanks.of(aug.values[:, aug.imputed])
     for seed in seeds:
         out = np.full((aug.n_rows, len(aug.metas)), np.nan)
-        ranks.transform(hot_deck_draws(aug, seed), out, aug.imputed)
-        filled = hot_deck_impute(aug, seed)[:, aug.imputed]
+        draws = hot_deck_draws(aug, seed)
+        ranks.transform(draws, out, aug.imputed)
+        filled = hot_deck_impute(aug, draws)[:, aug.imputed]
         expected = reference_transform(filled)
         assert out[:, aug.imputed].tobytes() == expected.tobytes()
         others = np.setdiff1d(np.arange(out.shape[1]), aug.imputed)

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +8,8 @@ import missgraph.pipeline
 from missgraph import (
     AnalysisConfig,
     Category,
+    ConfigError,
+    ContractError,
     Dataset,
     DegenerateColumnError,
     MechanismSpec,
@@ -18,9 +20,11 @@ from missgraph import (
     analyze_dataset,
     ar1_precision,
     fit_precision,
+    hot_deck_draws,
     hot_deck_impute,
     make_completeness_indicators,
     nonparanormal_transform,
+    run_analysis,
     select_lambda_ric,
     simulate_dataset,
     split_seed,
@@ -57,7 +61,8 @@ def test_one_permutation_null_per_analysis(monkeypatch):
 
 def test_every_member_uses_member_one_lambda():
     member_seed = split_seed(CONFIG.seed, 1)
-    member_1 = hot_deck_impute(make_completeness_indicators(DATASET), member_seed)
+    augmented = make_completeness_indicators(DATASET)
+    member_1 = hot_deck_impute(augmented, hot_deck_draws(augmented, member_seed))
     expected = select_lambda_ric(
         nonparanormal_transform(member_1),
         CONFIG.n_rotations,
@@ -171,6 +176,32 @@ def test_fully_observed_table_has_no_imputed_columns():
     result = analyze_dataset(dataset, AnalysisConfig(n_imputations=2, n_rotations=3))
     assert len(set(result.lambdas)) == 1
     assert result.report.warnings == [missgraph.pipeline.NO_INDICATOR_WARNING]
+
+
+def test_one_variable_is_too_few():
+    dataset = Dataset(
+        metas=(VariableMeta(name="x"),),
+        values=np.arange(50.0)[:, None],
+        mask=np.ones((50, 1), dtype=bool),
+    )
+    with pytest.raises(ContractError, match="at least 2 variables"):
+        analyze_dataset(dataset, CONFIG)
+
+
+@pytest.mark.parametrize("name", ["n_imputations", "n_rotations"])
+def test_config_counts_below_one_rejected(name):
+    with pytest.raises(ConfigError, match=f"{name} must be >= 1, got 0"):
+        analyze_dataset(DATASET, replace(CONFIG, **{name: 0}))
+
+
+@pytest.mark.parametrize(
+    "name, match", [("input", "input file"), ("out", "output directory")]
+)
+def test_run_analysis_needs_input_and_out(name, match, tmp_path):
+    config = replace(CONFIG, input=tmp_path / "data.csv", out=tmp_path / "out")
+    with pytest.raises(ConfigError, match=match):
+        run_analysis(replace(config, **{name: None}))
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_arcs_are_the_arc_records_by_field():

@@ -101,6 +101,11 @@ class TestMechanisms:
         with pytest.raises(ContractError, match="no driver"):
             MechanismSpec(kind="MNAR", target="a", driver="b", rate=0.2)
 
+    @pytest.mark.parametrize("slope", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slope_rejected(self, slope):
+        with pytest.raises(ContractError, match="slope must be finite"):
+            MechanismSpec(kind="MNAR", target="a", rate=0.2, slope=slope)
+
     def test_unknown_target_rejected(self):
         spec = MechanismSpec(kind="MCAR", target="nope", rate=0.2)
         with pytest.raises(ContractError, match="target"):
@@ -144,10 +149,11 @@ class TestSimulateDataset:
             (10, ["a", "b"], [[1.0, 0.0], [0.0]], None, "numeric matrix"),
             (10, ["a", "b"], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], None, "square"),
             (10, ["a", "b"], np.eye(2), {"lactat": Category.BLOOD_TESTS}, "lactat"),
+            (10, ["a", "b", "c"], np.eye(2), None, "one name per precision row"),
         ],
         ids=[
             "n_zero", "n_negative", "duplicate_names", "ragged", "non_square",
-            "unknown_category",
+            "unknown_category", "names_precision_mismatch",
         ],
     )
     def test_bad_values_are_contract_errors(
@@ -156,6 +162,16 @@ class TestSimulateDataset:
         specs = [MechanismSpec(kind="MCAR", target="a", rate=0.3)]
         with pytest.raises(ContractError, match=message):
             simulate_dataset(precision, n, names, specs, seed=1, categories=categories)
+
+    def test_ar1_template_is_ar1_precision(self):
+        spec = {
+            "n": 50,
+            "names": ["a", "b", "c"],
+            "precision": {"type": "ar1", "p": 3, "rho": 0.4},
+            "mechanisms": [{"kind": "MCAR", "target": "a", "rate": 0.2}],
+        }
+        _, truth = simulate_spec(spec)
+        np.testing.assert_array_equal(truth.precision, ar1_precision(3, 0.4))
 
     def test_expected_arcs(self):
         specs = [
