@@ -9,7 +9,7 @@ rejects it with ``UnimputableColumnError`` before the first member.
 
 :func:`make_completeness_indicators` decides each column's role once, and
 every later stage reads that layout: the augmented matrix, the base columns
-that hot-deck imputation fills and the observed cells it draws from.
+that hot-deck imputation fills and how many observed cells each draws from.
 """
 
 from __future__ import annotations
@@ -33,15 +33,15 @@ def indicator_name(parent: str) -> str:
 class AugmentedDataset:
     """A Dataset plus the completeness indicators derived from its mask.
 
-    ``values``, ``imputed`` and ``pools`` are read-only arrays, shared by
-    every member; a member's fill is its draws (``impute.hot_deck_draws``).
+    ``values``, ``imputed`` and ``pool_sizes`` are read-only arrays, shared
+    by every member; a member's fill is its draws (``impute.hot_deck_draws``).
     """
 
     base: Dataset
     indicator_metas: tuple[VariableMeta, ...]
     values: np.ndarray  # base columns, then indicators; NaN = missing
     imputed: np.ndarray  # base columns with a missing cell, ascending
-    pools: tuple[np.ndarray, ...]  # each imputed column's observed cells
+    pool_sizes: np.ndarray  # each imputed column's number of observed cells
     excluded_constant: tuple[str, ...]
 
     @property
@@ -94,14 +94,14 @@ def make_completeness_indicators(dataset: Dataset) -> AugmentedDataset:
         else:
             excluded.append(meta.name)
     values = np.hstack([dataset.values, dataset.mask[:, partial].astype(float)])
-    pools = tuple(dataset.values[dataset.mask[:, j], j] for j in imputed)
-    for array in (values, imputed, *pools):
+    pool_sizes = n_observed[imputed]
+    for array in (values, imputed, pool_sizes):
         array.setflags(write=False)  # shared by every member
     return AugmentedDataset(
         base=dataset,
         indicator_metas=tuple(metas),
         values=values,
         imputed=imputed,
-        pools=pools,
+        pool_sizes=pool_sizes,
         excluded_constant=tuple(excluded),
     )

@@ -17,7 +17,7 @@ from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
-from .dataset import write_csv, write_matrix_csv, write_outputs
+from .dataset import read_json, write_csv, write_matrix_csv, write_outputs
 from .errors import ConfigError, MissgraphError, stage
 from .pipeline import AnalysisConfig, run_analysis
 from .report import EXPORT_FORMATS, AnalysisReport, export_graph, read_dataclass
@@ -83,22 +83,13 @@ def _default_outdir(flag_value: Path | None) -> Path:
     )
 
 
-def _read_json(path: Path, what: str):
-    try:
-        return json.loads(path.read_text(encoding="utf-8-sig"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
 def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
     """Merge defaults, config file and flags (later wins).
 
     Every ``analyze`` flag stores into the ``AnalysisConfig`` field of the
     same name, which is also its config-file key.
     """
-    merged = _read_json(args.config, "config file") if args.config is not None else {}
+    merged = read_json(args.config, "config file") if args.config is not None else {}
     if not isinstance(merged, dict):
         raise ConfigError(f"config file {args.config} must hold a JSON object")
     for f in fields(AnalysisConfig):
@@ -124,7 +115,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     outdir = _default_outdir(args.out)
-    spec = _read_json(args.spec, "spec file")
+    spec = read_json(args.spec, "spec file")
     with stage("simulate"):
         dataset, truth = simulate_spec(spec)
     for path in write_outputs(
@@ -143,7 +134,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    report = _read_json(args.report, "report")
+    report = read_json(args.report, "report")
     try:
         # Rendering reads every arc and variable field the file may lack.
         rendered = export_graph(AnalysisReport(**report), args.format)

@@ -1,4 +1,4 @@
-"""Tabular container with an explicit per-cell observation mask, plus CSV I/O.
+"""Tabular container with a per-cell observation mask, CSV I/O and JSON input.
 
 A :class:`Dataset` stores an ``(n_rows, n_cols)`` float matrix together with a
 boolean mask (``True`` = observed).  Missing cells hold ``NaN`` as a sentinel
@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, SchemaError, stage
+from .errors import ConfigError, MissgraphError, ParseError, SchemaError, stage
 
 #: Cell texts (after stripping) treated as missing when no explicit set is given.
 DEFAULT_NA_TOKENS = frozenset({"", "NA", "NaN", "null"})
@@ -143,12 +143,20 @@ def _parse_cell(text: str, na_tokens: frozenset[str]) -> float:
     return value
 
 
+def read_json(path: str | Path, what: str, error: type[MissgraphError] = ConfigError):
+    """The JSON value in the UTF-8 file ``path`` (a leading BOM is skipped);
+    ``error``, naming the file ``what``, if it cannot be read or is not JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_schema(path: str | Path) -> dict[str, Category]:
     """Read a JSON file mapping variable name -> category name."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
+    raw = read_json(path, "schema file", SchemaError)
     if not isinstance(raw, dict):
         raise SchemaError(f"schema file {path} must hold a JSON object")
     schema = {}

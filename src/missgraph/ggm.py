@@ -483,6 +483,8 @@ def select_lambda_ric(
     """
     if n_rotations < 1:
         raise ContractError(f"n_rotations must be >= 1, got {n_rotations}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     # A row permutation of a column that varies still varies: check once.
     x = _varying_columns(t)
     p = x.shape[1]

@@ -32,23 +32,22 @@ def split_seed(master_seed: int, k: int) -> int:
 
 def hot_deck_draws(augmented: AugmentedDataset, seed: int) -> list[np.ndarray]:
     """Seeded hot-deck draws: for each imputed column, in column order, the
-    position in ``augmented.pools`` of the cell copied into each hole.
+    position, among its observed cells in row order, of each hole's cell.
 
-    One ``rng.choice(pool.size, size=n_rows - pool.size)`` per column, from
-    one generator seeded with ``seed``.  It draws the same positions that
-    ``rng.choice(pool, size=...)`` draws values from.
+    One ``rng.integers(0, size, size=n_rows - size)`` per column, ``size`` in
+    ``augmented.pool_sizes``, from one generator seeded with ``seed``: the
+    call ``rng.choice(size, ...)`` makes, so it draws the same positions.
 
     Raises
     ------
     UnimputableColumnError if a column has missing cells but nothing observed.
     """
     rng = np.random.default_rng(int(seed) & _MASK64)
-    n_rows = augmented.n_rows
     draws = []
-    for j, pool in zip(augmented.imputed, augmented.pools):
-        if pool.size == 0:
+    for j, size in zip(augmented.imputed, augmented.pool_sizes):
+        if size == 0:
             raise UnimputableColumnError(augmented.base.metas[j].name)
-        draws.append(rng.choice(pool.size, size=n_rows - pool.size))
+        draws.append(rng.integers(0, size, size=augmented.n_rows - size))
     return draws
 
 
@@ -56,12 +55,12 @@ def hot_deck_impute(augmented: AugmentedDataset, draws: list[np.ndarray]) -> np.
     """Return the complete matrix over the augmented variable set that
     ``draws`` (from :func:`hot_deck_draws`) describes.
 
-    A copy of ``augmented.values`` whose missing cells hold the pool cells
-    that ``draws`` picks, in row order.  Observed cells and the indicator
-    columns pass through unchanged.
+    A copy of ``augmented.values`` whose missing cells hold the observed
+    cells that ``draws`` picks, in row order.  Observed cells and the
+    indicator columns pass through unchanged.
     """
     filled = augmented.values.copy()
-    mask = augmented.base.mask
-    for j, pool, idx in zip(augmented.imputed, augmented.pools, draws):
-        filled[~mask[:, j], j] = pool[idx]
+    for j, idx in zip(augmented.imputed, draws):
+        m = augmented.base.mask[:, j]
+        filled[~m, j] = filled[m, j][idx]
     return filled

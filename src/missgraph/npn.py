@@ -115,11 +115,10 @@ class FillRanks:
     a sort.
     """
 
-    cell_ids: np.ndarray  # (q, n): each cell's id; transform overwrites holes'
+    cell_ids: np.ndarray  # (q, n): each cell's id; transform fills a copy's holes
     hole_cells: np.ndarray  # flat position in cell_ids of each hole
-    hole_bounds: np.ndarray  # column t's holes are hole_cells[b[t]:b[t + 1]]
-    pool_ids: np.ndarray  # the id of each pool cell, the pools concatenated
-    pool_starts: np.ndarray  # per hole: where its column's pool starts
+    pool_ids: np.ndarray  # the id of each observed cell, column by column
+    pool_starts: np.ndarray  # per hole: where its column's pool_ids start
     observed: np.ndarray  # per id: the number of observed cells
     column_starts: np.ndarray  # per id: t * n, for its column t
 
@@ -173,13 +172,12 @@ class FillRanks:
         # Row-major order lists the cells column by column, in row order.
         pool_ids = cell_ids[~in_hole]
         hole_counts = in_hole.sum(axis=1)
-        hole_bounds = np.concatenate([[0], np.cumsum(hole_counts)])
+        pool_starts = np.arange(q) * n - (np.cumsum(hole_counts) - hole_counts)
         ranks = cls(
             cell_ids=cell_ids,
             hole_cells=np.flatnonzero(in_hole),
-            hole_bounds=hole_bounds,
             pool_ids=pool_ids,
-            pool_starts=np.repeat(np.arange(q) * n - hole_bounds[:-1], hole_counts),
+            pool_starts=np.repeat(pool_starts, hole_counts),
             observed=np.bincount(pool_ids, minlength=next_id),
             column_starts=np.repeat(np.arange(q) * n, sizes),
         )
@@ -194,12 +192,14 @@ class FillRanks:
 
         ``draws[t]`` lists, for each hole of column t in row order, the
         position of the cell it copies among the column's observed cells in
-        row order, that is in ``AugmentedDataset.pools[t]``.
+        row order (:func:`impute.hot_deck_draws`).
         """
         q, n = self.cell_ids.shape
         if not q:
             return
         fills = self.pool_ids[np.concatenate(draws) + self.pool_starts]
+        ids = self.cell_ids.copy()
+        ids.put(self.hole_cells, fills)
         counts = self.observed + np.bincount(fills, minlength=self.observed.size)
         first = np.cumsum(counts) - counts - self.column_starts
         # Twice the mid-rank is 2*first + count + 1; its table entry sits 2 lower.
@@ -207,9 +207,7 @@ class FillRanks:
         width = max(1, _BLOCK_CELLS // n)
         for lo in range(0, q, width):
             hi = min(lo + width, q)
-            g = scores.take(self.cell_ids[lo:hi])
-            held = slice(self.hole_bounds[lo], self.hole_bounds[hi])
-            g.put(self.hole_cells[held] - lo * n, scores.take(fills[held]))
+            g = scores.take(ids[lo:hi])
             centred = g - g.mean(axis=1, keepdims=True)
             out[:, columns[lo:hi]] = (
                 centred / centred.std(axis=1, ddof=1, keepdims=True)

@@ -155,8 +155,8 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     # those once, before member 1, covers every member.  It comes before
     # FillRanks.of, which would call a column with no observed cell constant.
     with stage("impute"):
-        for j, pool in zip(imputed, augmented.pools):
-            if pool.size == 0:
+        for j, size in zip(imputed, augmented.pool_sizes):
+            if size == 0:
                 raise UnimputableColumnError(names[j])
     with stage("transform"):
         ranks = FillRanks.of(

@@ -22,8 +22,6 @@ from pathlib import Path, PurePath
 from .dataset import VarKind
 from .errors import ConfigError
 
-EXPORT_FORMATS = ("dot", "json", "csv")
-
 #: Report keys of an arc, in ``MissingnessArc`` field order.
 ARC_FIELDS = (
     "obs_var",
@@ -234,14 +232,12 @@ def render_graph_json(report: AnalysisReport) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
+EXPORT_FORMATS = {"dot": render_dot, "json": render_graph_json, "csv": render_arcs_csv}
+
+
 def export_graph(report: AnalysisReport, fmt: str) -> str:
     """Render the arc graph in one of the supported formats."""
-    if fmt == "dot":
-        return render_dot(report)
-    if fmt == "json":
-        return render_graph_json(report)
-    if fmt == "csv":
-        return render_arcs_csv(report)
-    raise ConfigError(
-        f"unknown export format {fmt!r}, expected one of {', '.join(EXPORT_FORMATS)}"
-    )
+    if fmt not in EXPORT_FORMATS:
+        known = ", ".join(EXPORT_FORMATS)
+        raise ConfigError(f"unknown export format {fmt!r}, expected one of {known}")
+    return EXPORT_FORMATS[fmt](report)

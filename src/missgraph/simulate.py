@@ -60,6 +60,8 @@ class MechanismSpec:
             raise ContractError(f"{self.kind.value} mechanism takes no driver")
         if not np.isfinite(self.slope):
             raise ContractError("slope must be finite")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,8 @@ def _require_spd(precision: np.ndarray) -> np.ndarray:
 
 def generate_gaussian(precision: np.ndarray, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. rows from N(0, precision^{-1}), deterministically per seed."""
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     m = _require_spd(precision)
     cov = np.linalg.inv(m)
     cov = (cov + cov.T) / 2.0

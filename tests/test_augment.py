@@ -95,13 +95,17 @@ def test_layout_is_decided_once():
     )
     aug = make_completeness_indicators(ds)
     assert aug.imputed.tolist() == [1, 2]
-    np.testing.assert_array_equal(aug.pools[0], [4.0, 5.0])
-    assert aug.pools[1].size == 0
+    assert aug.pool_sizes.tolist() == [2, 0]
+    pools = [ds.values[ds.mask[:, j], j] for j in aug.imputed]
+    np.testing.assert_array_equal(pools[0], [4.0, 5.0])
+    assert pools[1].size == 0
     assert np.shares_memory(aug.indicator_values, aug.values)
     np.testing.assert_array_equal(aug.values[:, :3], ds.values)
     holes = [np.flatnonzero(~aug.base.mask[:, j]) for j in aug.imputed]
     assert [rows.tolist() for rows in holes] == [[0], [0, 1, 2]]
     assert [rows.size for rows in holes] == [
-        aug.n_rows - pool.size for pool in aug.pools
+        aug.n_rows - size for size in aug.pool_sizes
     ]
-    assert not any(a.flags.writeable for a in (aug.values, aug.imputed, *aug.pools))
+    assert not any(
+        a.flags.writeable for a in (aug.values, aug.imputed, aug.pool_sizes)
+    )

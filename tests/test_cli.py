@@ -15,6 +15,7 @@ import missgraph.ggm
 import missgraph.pipeline
 from missgraph import (
     AnalysisReport,
+    ConfigError,
     export_graph,
     fit_precision,
     nonparanormal_transform,
@@ -766,11 +767,12 @@ class TestSimulate:
                     {"kind": "MNAR", "target": "a", "rate": 0.3, "slope": 1.0},
                 ]
             },
+            {"mechanisms": [{"kind": "MCAR", "target": "a", "rate": 0.3, "seed": -5}]},
         ],
         ids=[
             "n_zero", "n_negative", "duplicate_names", "ragged", "non_square",
             "negative_p", "rate_out_of_range", "unknown_category", "ar1_rho_one",
-            "unknown_driver", "two_mechanisms_one_target",
+            "unknown_driver", "two_mechanisms_one_target", "negative_mechanism_seed",
         ],
     )
     def test_bad_spec_value_is_numeric_error(self, patch, tmp_path, capsys):
@@ -843,6 +845,11 @@ class TestExport:
         assert "cluster_completeness" in dot
         assert '"a"' in dot and '"a__observed"' in dot
         assert "--" not in dot.replace("__observed", "")
+
+    def test_unknown_format_is_config_error(self, mnar_run):
+        report = AnalysisReport(**json.loads(self.report_path(mnar_run).read_text()))
+        with pytest.raises(ConfigError, match="unknown export format 'svg'"):
+            export_graph(report, "svg")
 
     def test_csv_and_json_formats(self, mnar_run, capsys):
         code, out, _ = run(

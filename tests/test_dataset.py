@@ -131,8 +131,8 @@ class TestParseCsv:
 
     @pytest.mark.parametrize(
         "content, match",
-        [(None, "cannot read"), ('["hr"]', "JSON object")],
-        ids=["missing", "not_object"],
+        [(None, "cannot read"), ("{", "not valid JSON"), ('["hr"]', "JSON object")],
+        ids=["missing", "invalid", "not_object"],
     )
     def test_unusable_schema_file(self, tmp_path, content, match):
         schema = tmp_path / "schema.json"

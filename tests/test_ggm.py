@@ -606,6 +606,10 @@ class TestRic:
         with pytest.raises(ContractError):
             select_lambda_ric(rng.normal(size=(20, 2)), n_rotations=0, seed=0)
 
+    def test_negative_seed_rejected(self, rng):
+        with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
+            select_lambda_ric(rng.normal(size=(20, 2)), n_rotations=2, seed=-1)
+
 
 class TestDesparsify:
     def test_fixed_point_at_exact_inverse(self, rng):

@@ -102,6 +102,9 @@ def test_index_draws_are_the_value_draws(pool_size):
             positions = np.random.default_rng(seed).choice(pool.size, size=size)
             assert positions.dtype == np.int64
             assert pool[positions].tobytes() == values.tobytes()
+            # hot_deck_draws calls the primitive that choice(pool.size) calls.
+            drawn = np.random.default_rng(seed).integers(0, pool.size, size=size)
+            assert drawn.tobytes() == positions.tobytes()
 
 
 def test_member_is_the_pool_cells_its_draws_pick():
@@ -113,8 +116,9 @@ def test_member_is_the_pool_cells_its_draws_pick():
     holes = [np.flatnonzero(~aug.base.mask[:, j]) for j in aug.imputed]
     assert [idx.size for idx in draws] == [rows.size for rows in holes]
     member = hot_deck_impute(aug, draws)
-    for j, rows, pool, idx in zip(aug.imputed, holes, aug.pools, draws):
-        np.testing.assert_array_equal(member[rows, j], pool[idx])
+    ds = aug.base
+    for j, rows, idx in zip(aug.imputed, holes, draws):
+        np.testing.assert_array_equal(member[rows, j], ds.values[ds.mask[:, j], j][idx])
 
 
 def test_unimputable_column_named():

@@ -56,6 +56,10 @@ class TestGenerateGaussian:
         with pytest.raises(ContractError, match="positive definite"):
             generate_gaussian(np.array([[1.0, 2.0], [2.0, 1.0]]), 10, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
+            generate_gaussian(np.eye(2), 10, seed=-1)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ContractError, match="symmetric"):
             generate_gaussian(np.array([[1.0, 0.5], [0.2, 1.0]]), 10, seed=0)
@@ -100,6 +104,10 @@ class TestMechanisms:
     def test_mnar_takes_no_driver(self):
         with pytest.raises(ContractError, match="no driver"):
             MechanismSpec(kind="MNAR", target="a", driver="b", rate=0.2)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractError, match="seed must be >= 0, got -2"):
+            MechanismSpec(kind="MCAR", target="a", rate=0.2, seed=-2)
 
     @pytest.mark.parametrize("slope", [np.nan, np.inf, -np.inf])
     def test_non_finite_slope_rejected(self, slope):
