@@ -1,10 +1,10 @@
 """Command-line interface: ``analyze``, ``simulate`` and ``export``.
 
-Exit codes: 0 ok, 2 config (an output file that cannot be written included,
-stage ``write``), 3 parse, 4 numeric, 5 convergence.  Every failure prints one
-machine-parsable JSON line on stderr with ``code``, ``kind``, ``stage`` and
-``message`` fields.  The default output directory can be set
-with the ``MISSGRAPH_OUTDIR`` environment variable.
+Exit codes: 0 ok, 2 config (a usage error included, stage ``usage``, and an
+output file that cannot be written, stage ``write``), 3 parse, 4 numeric,
+5 convergence.  Every failure prints one machine-parsable JSON line on stderr
+with ``code``, ``kind``, ``stage`` and ``message`` fields.  The default
+output directory can be set with the ``MISSGRAPH_OUTDIR`` environment variable.
 """
 
 from __future__ import annotations
@@ -26,8 +26,15 @@ from .simulate import simulate_spec
 ENV_OUTDIR = "MISSGRAPH_OUTDIR"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError: one JSON line, like any failure."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="missgraph",
         description="Detect informative missing-data patterns in numeric tables.",
     )
@@ -149,14 +156,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "analyze": _cmd_analyze,
         "simulate": _cmd_simulate,
         "export": _cmd_export,
     }
     try:
+        with stage("usage"):
+            args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except MissgraphError as exc:
         line = json.dumps(

@@ -31,7 +31,8 @@ smaller values summed.  That run holds twice the mid-rank
 ``scipy.stats.rankdata(method="average")``).  One table lookup per value and
 one gather give the scores, and the row-wise mean and standard deviation
 reduce each column exactly as a 1-D column would.  A complete column is the
-case with no holes and no draws (:func:`nonparanormal_transform`).
+case with no holes and no draws (:func:`nonparanormal_transform`), whose
+result, a :class:`TransformedMatrix`, is array-like: numpy reads its values.
 """
 
 from __future__ import annotations
@@ -74,6 +75,10 @@ class TransformedMatrix:
     """Gaussianized matrix: every column centred with unit sample sd."""
 
     values: np.ndarray
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # ``values`` itself; a copy only for numpy 2's copy=True.
+        return (np.array if copy else np.asarray)(self.values, dtype=dtype)
 
 
 def nonparanormal_transform(

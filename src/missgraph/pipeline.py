@@ -150,7 +150,7 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
         transformed = np.empty((augmented.n_rows, len(names)))
         transformed[:, shared] = nonparanormal_transform(
             augmented.values[:, shared], [names[j] for j in shared]
-        ).values
+        )
     # Hot-deck draws come only from a column's observed cells, so checking
     # those once, before member 1, covers every member.  It comes before
     # FillRanks.of, which would call a column with no observed cell constant.

@@ -162,13 +162,7 @@ class AnalysisReport:
     def to_json(self) -> str:
         return json.dumps(json_record(self), indent=2, ensure_ascii=False) + "\n"
 
-    def observation_names(self) -> list[str]:
-        return self._names(VarKind.OBSERVATION)
-
-    def completeness_names(self) -> list[str]:
-        return self._names(VarKind.COMPLETENESS)
-
-    def _names(self, kind: VarKind) -> list[str]:
+    def names(self, kind: VarKind) -> list[str]:
         return [v["name"] for v in self.variables if v["kind"] == kind.value]
 
 
@@ -186,12 +180,12 @@ def render_dot(report: AnalysisReport) -> str:
     lines = ["graph missingness {", "  rankdir=LR;", "  node [shape=box];"]
     lines.append("  subgraph cluster_observation {")
     lines.append('    label="Observation";')
-    for name in report.observation_names():
+    for name in report.names(VarKind.OBSERVATION):
         lines.append(f"    {_dot_quote(name)};")
     lines.append("  }")
     lines.append("  subgraph cluster_completeness {")
     lines.append('    label="Completeness";')
-    for name in report.completeness_names():
+    for name in report.names(VarKind.COMPLETENESS):
         lines.append(f"    {_dot_quote(name)};")
     lines.append("  }")
     for arc in report.arcs:
@@ -224,8 +218,8 @@ def _csv_cell(value) -> str:
 def render_graph_json(report: AnalysisReport) -> str:
     payload = {
         "nodes": {
-            "observation": report.observation_names(),
-            "completeness": report.completeness_names(),
+            "observation": report.names(VarKind.OBSERVATION),
+            "completeness": report.names(VarKind.COMPLETENESS),
         },
         "edges": [{key: arc[key] for key in ARC_FIELDS} for arc in report.arcs],
     }

@@ -32,6 +32,20 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(code, out, err, message):
+    """One JSON line on stderr, of kind config and stage usage, and exit 2."""
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["code"], payload["kind"], payload["stage"]) == (
+        2,
+        "config",
+        "usage",
+    )
+    assert message in payload["message"]
+
+
 def strip_volatile(text: str) -> str:
     """Drop the run-clock lines; everything else must be byte-identical."""
     return "\n".join(
@@ -299,6 +313,23 @@ class TestAnalyze:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--seed", "abc"], "invalid int value: 'abc'"),
+            ([], "required: command"),
+        ],
+        ids=["bad_seed", "no_subcommand"],
+    )
+    def test_usage_error_prints_one_json_line(self, argv, message, capsys):
+        assert_usage_error(*run(argv, capsys), message)
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        assert "--seed" in capsys.readouterr().out
+
     def test_bad_alpha_is_config_error(self, tmp_path, capsys):
         code, _, err = run(
             [
@@ -930,15 +961,15 @@ class TestExport:
         assert "is not a valid report" in payload["message"]
 
     def test_unknown_format_is_usage_error(self, mnar_run, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "export",
-                    "--report", str(self.report_path(mnar_run)),
-                    "--format", "svg",
-                ]
-            )
-        assert exc.value.code == 2
+        result = run(
+            [
+                "export",
+                "--report", str(self.report_path(mnar_run)),
+                "--format", "svg",
+            ],
+            capsys,
+        )
+        assert_usage_error(*result, "invalid choice: 'svg'")
 
 
 def test_cli_import_leaves_scipy_stats_out():

@@ -709,6 +709,30 @@ class TestPartialCorrelations:
         assert rho[0, 1] == 1.0
 
 
+def _fit_arrays(t):
+    fit = fit_precision(t, 0.1)
+    return np.stack([fit.partial_corr, fit.theta])
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        correlation_matrix,
+        lambda t: select_lambda_ric(t, n_rotations=5, seed=2),
+        _fit_arrays,
+    ],
+    ids=["correlation_matrix", "select_lambda_ric", "fit_precision"],
+)
+def test_transformed_matrix_reads_as_its_values(estimate, rng):
+    # A TransformedMatrix is array-like: each estimator reads its values.
+    z = rng.standard_normal((300, 4))
+    z[:, 1] += 0.6 * z[:, 0]
+    transformed = nonparanormal_transform(z)
+    np.testing.assert_array_equal(
+        estimate(transformed), estimate(transformed.values)
+    )
+
+
 def test_fit_precision_matches_library_path(rng):
     # the per-member path must give the library de-sparsified estimator's
     # partial correlations bit for bit

@@ -264,6 +264,23 @@ def test_constant_column_rejected(monkeypatch):
             nonparanormal_transform(two_flat)
 
 
+def test_transformed_matrix_reads_as_its_values():
+    tm = nonparanormal_transform(np.arange(20.0).reshape(10, 2) ** 2)
+    assert np.asarray(tm) is tm.values
+    assert np.asarray(tm, dtype=float) is tm.values
+    assert np.asarray(tm, dtype=np.float32).dtype == np.float32
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="copy= is numpy 2's"
+)
+def test_transformed_matrix_copies_when_asked():
+    tm = nonparanormal_transform(np.arange(20.0).reshape(10, 2) ** 2)
+    copied = np.asarray(tm, copy=True)
+    assert not np.shares_memory(copied, tm.values)
+    np.testing.assert_array_equal(copied, tm.values)
+
+
 def test_too_few_rows_rejected():
     with pytest.raises(ContractError, match="at least 8"):
         nonparanormal_transform(np.arange(7.0)[:, None])
