@@ -1,6 +1,12 @@
 """Sparse Gaussian graphical model estimation and edge-wise inference.
 
-The data are any 2-D array of n rows and p columns.  The estimator minimizes
+The data are any 2-D array of n rows and p columns.  Their sample
+correlation comes from one kernel: the columns are copied into column-major
+order, each centred in place by one contiguous sum, and ``x.T @ x``, one BLAS
+product, is scaled by its diagonal.  Its bits therefore depend on the values
+only: a C-order array, a Fortran-order one and a strided view of the same
+values give the same correlations, the same lam and the same fit.  The
+estimator minimizes
 
     trace(Sigma_hat @ Theta) - logdet(Theta) + lam * ||Theta||_1,off
 
@@ -37,7 +43,8 @@ from the rescaled precision, rho_ij = -T_ij / sqrt(T_ii * T_jj).
 The regularization level is picked by a permutation null: rows of every
 column are shuffled independently (killing all cross-column dependence) and
 lam is the mean, over rotations, of the largest absolute off-diagonal sample
-correlation of the shuffled matrix.
+correlation of the shuffled matrix.  Every rotation permutes into, and
+centres, one column-major buffer, so no rotation allocates a matrix.
 """
 
 from __future__ import annotations
@@ -101,15 +108,22 @@ def _varying_columns(t: np.ndarray) -> np.ndarray:
 def correlation_matrix(t: np.ndarray) -> np.ndarray:
     """Pearson correlation of the columns: symmetric, unit diagonal, in [-1, 1].
 
+    It is computed on a column-major copy of ``t``, so its bits depend on
+    the values only, not on the memory layout of ``t``.
+
     Raises DegenerateColumnError if any column is constant.
     """
-    return _correlation(_varying_columns(t))
+    return _correlation(np.array(_varying_columns(t), order="F"))
 
 
-def _correlation(x: np.ndarray) -> np.ndarray:
-    """``correlation_matrix`` of a matrix already known to have no constant
-    column."""
-    c = np.corrcoef(x, rowvar=False)
+def _correlation(xf: np.ndarray) -> np.ndarray:
+    """``correlation_matrix`` of the column-major ``xf``, which has no
+    constant column and which it centres in place."""
+    xf -= xf.mean(axis=0)
+    c = xf.T @ xf
+    d = np.sqrt(np.diag(c))
+    c /= d[:, None]
+    c /= d
     c = np.clip((c + c.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(c, 1.0)
     return c
@@ -474,20 +488,26 @@ def select_lambda_ric(t: np.ndarray, n_rotations: int = 20, seed: int = 0) -> fl
     statistic is the largest absolute off-diagonal correlation of the
     permuted matrix.  The returned lam is the mean over rotations, i.e. the
     penalty at which a truly dependence-free version of the data would have
-    an empty estimated graph.
+    an empty estimated graph.  With one column there is no off-diagonal
+    correlation, so the null needs at least two (ContractError).
     """
     if n_rotations < 1:
         raise ContractError(f"n_rotations must be >= 1, got {n_rotations}")
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
     # A row permutation of a column that varies still varies: check once.
-    x = _varying_columns(t)
+    x = np.asfortranarray(_varying_columns(t))
     p = x.shape[1]
+    if p < 2:
+        raise ContractError("the permutation null needs at least 2 columns")
     rng = np.random.default_rng(int(seed))
     maxima = np.empty(n_rotations)
     off = ~np.eye(p, dtype=bool)
+    # The buffer every rotation permutes into and centres; ``permuted`` draws
+    # the same permutations whatever the layout of ``out``.
+    buf = np.empty_like(x)
     for r in range(n_rotations):
-        c = _correlation(rng.permuted(x, axis=0))
+        c = _correlation(rng.permuted(x, axis=0, out=buf))
         maxima[r] = np.abs(c[off]).max()
     return float(maxima.mean())
 

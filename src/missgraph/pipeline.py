@@ -146,8 +146,11 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     # draws (FillRanks), whose labelling sort of those columns runs once, here.
     imputed = augmented.imputed
     shared = np.setdiff1d(np.arange(len(names)), imputed)
+    # Column-major, so that each member's imputed columns are written as
+    # whole contiguous columns and the estimators' column-major copies of
+    # the matrix (ggm._correlation) are contiguous reads.
     with stage("transform"):
-        transformed = np.empty((augmented.n_rows, len(names)))
+        transformed = np.empty((augmented.n_rows, len(names)), order="F")
         transformed[:, shared] = nonparanormal_transform(
             augmented.values[:, shared], [names[j] for j in shared]
         )

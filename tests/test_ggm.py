@@ -89,6 +89,24 @@ class TestCorrelationMatrix:
         with pytest.raises(DegenerateColumnError, match="#1"):
             correlation_matrix(x)
 
+    @pytest.mark.parametrize("standardized", [True, False])
+    def test_matches_corrcoef(self, standardized, rng):
+        # Still Pearson: the column-major kernel agrees with numpy's
+        # row-wise route to the last bits.
+        x = rng.standard_normal((500, 6)) @ rng.standard_normal((6, 6))
+        x[:, 0] = np.round(x[:, 0])  # ties
+        if standardized:
+            x = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+        else:
+            x = 50.0 + 7.0 * x
+        np.testing.assert_allclose(
+            correlation_matrix(x), np.corrcoef(x, rowvar=False), rtol=0, atol=1e-15
+        )
+
+    def test_one_column(self, rng):
+        c = correlation_matrix(rng.standard_normal((50, 1)))
+        np.testing.assert_array_equal(c, [[1.0]])
+
 
 class TestGlasso:
     def test_identity_stays_identity(self):
@@ -594,13 +612,19 @@ class TestRic:
             for _ in range(8)
         ]
         lam = select_lambda_ric(x, n_rotations=8, seed=3)
-        assert abs(lam - float(np.mean(maxima))) <= 1e-15
+        assert lam == float(np.mean(maxima))
 
     def test_constant_column_rejected(self, rng):
         x = rng.standard_normal((30, 3))
         x[:, 1] = 0.1  # its float mean is not exactly 0.1
         with pytest.raises(DegenerateColumnError):
             select_lambda_ric(x, n_rotations=3, seed=0)
+
+    def test_needs_at_least_two_columns(self, rng, monkeypatch):
+        # Refused before any permutation is drawn.
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail())
+        with pytest.raises(ContractError, match="at least 2 columns"):
+            select_lambda_ric(rng.standard_normal((50, 1)), n_rotations=3, seed=0)
 
     def test_needs_at_least_one_rotation(self, rng):
         with pytest.raises(ContractError):
@@ -714,7 +738,7 @@ def _fit_arrays(t):
     return np.stack([fit.partial_corr, fit.theta])
 
 
-@pytest.mark.parametrize(
+each_estimate = pytest.mark.parametrize(
     "estimate",
     [
         correlation_matrix,
@@ -723,6 +747,9 @@ def _fit_arrays(t):
     ],
     ids=["correlation_matrix", "select_lambda_ric", "fit_precision"],
 )
+
+
+@each_estimate
 def test_transformed_matrix_reads_as_its_values(estimate, rng):
     # A TransformedMatrix is array-like: each estimator reads its values.
     z = rng.standard_normal((300, 4))
@@ -731,6 +758,40 @@ def test_transformed_matrix_reads_as_its_values(estimate, rng):
     np.testing.assert_array_equal(
         estimate(transformed), estimate(transformed.values)
     )
+
+
+def _every_other_row(x):
+    big = np.zeros((2 * x.shape[0], x.shape[1]))
+    big[::2] = x
+    return big[::2]
+
+
+def _every_other_column(x):
+    big = np.zeros((x.shape[0], 2 * x.shape[1]))
+    big[:, ::2] = x
+    return big[:, ::2]
+
+
+@each_estimate
+@pytest.mark.parametrize(
+    "layout",
+    [np.asfortranarray, _every_other_row, _every_other_column],
+    ids=["f_order", "row_strided", "column_strided"],
+)
+def test_memory_layout_moves_no_bit(estimate, layout, rng):
+    # The same values in another memory layout give the same bits.
+    x = rng.standard_normal((300, 5)) @ rng.standard_normal((5, 5))
+    x[:, 0] = np.round(x[:, 0])  # ties
+    other = layout(x)
+    assert x.flags.c_contiguous and not other.flags.c_contiguous
+    np.testing.assert_array_equal(estimate(other), estimate(x))
+
+
+def test_fit_precision_of_one_column(rng):
+    fit = fit_precision(rng.standard_normal((50, 1)), 0.1)
+    np.testing.assert_array_equal(fit.partial_corr, [[1.0]])
+    assert fit.theta.shape == (1, 1) and fit.theta[0, 0] > 0.0
+    assert (fit.n, fit.p) == (50, 1)
 
 
 def test_fit_precision_matches_library_path(rng):
