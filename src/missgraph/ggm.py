@@ -226,23 +226,10 @@ class WarmStart:
     def of(cls, theta: np.ndarray) -> WarmStart:
         """Check ``theta`` and invert it.
 
-        Raises ContractError unless ``theta`` is a finite, symmetric,
-        positive-definite matrix.
+        Raises ContractError from ``positive_definite``, naming ``start``.
         """
-        theta = np.asarray(theta, dtype=float)
-        w = None
-        if (
-            theta.ndim == 2
-            and theta.shape[0] == theta.shape[1]
-            and np.isfinite(theta).all()
-            and _symmetric(theta)
-        ):
-            w = _spd_inverse(theta)
-        if w is None:
-            raise ContractError(
-                "start must be a finite, symmetric, positive-definite matrix"
-            )
-        return cls(theta=theta, w=w)
+        theta, cho = positive_definite(theta, "start")
+        return cls(theta=theta, w=_cholesky_inverse(cho))
 
 
 def glasso_fit(
@@ -284,21 +271,16 @@ def glasso_fit(
 
     Raises
     ------
-    ContractError for non-finite or asymmetric input, a diagonal entry <= 0,
-    a negative or non-finite lam, or a ``start`` of the wrong shape,
-    non-finite, asymmetric or not positive definite; ConvergenceError if a component does not converge within
-    ``MAX_SWEEPS`` sweeps, a column's lasso exceeds its step budget, or the
-    working covariance loses positive definiteness.
+    ContractError for a ``sigma_hat`` that ``symmetric_matrix`` rejects or
+    with a diagonal entry <= 0, a negative or non-finite lam, or a ``start``
+    that ``WarmStart.of`` rejects or of the wrong shape; ConvergenceError if
+    a component does not converge within ``MAX_SWEEPS`` sweeps, a column's
+    lasso exceeds its step budget, or the working covariance loses positive
+    definiteness.
     """
-    sigma = np.asarray(sigma_hat, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ContractError("sigma_hat must be square")
-    if not np.isfinite(sigma).all():
-        raise ContractError("sigma_hat must be finite")
+    sigma = symmetric_matrix(sigma_hat, "sigma_hat")
     if not (np.diag(sigma) > 0.0).all():
         raise ContractError("sigma_hat must have a positive diagonal")
-    if not _symmetric(sigma):
-        raise ContractError("sigma_hat must be symmetric")
     if not 0 <= lam < np.inf:
         raise ContractError(
             f"lambda must be finite and non-negative, got {lam}"
@@ -336,6 +318,32 @@ def glasso_fit(
         # The gap of theta is the sum of its blocks' gaps.
         theta[sub] = _glasso_block(s, lam, GAP_TOL * block.size / p, w, coef)
     return theta
+
+
+def symmetric_matrix(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` as a float matrix; raises ContractError, naming ``name`` and the
+    property it fails, unless it is numeric, square, finite and symmetric."""
+    try:
+        m = np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise ContractError(f"{name} must be a numeric matrix") from None
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ContractError(f"{name} must be square")
+    if not np.isfinite(m).all():
+        raise ContractError(f"{name} must be finite")
+    if not _symmetric(m):
+        raise ContractError(f"{name} must be symmetric")
+    return m
+
+
+def positive_definite(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``symmetric_matrix(a, name)`` and its lower Cholesky factor, or
+    ContractError naming ``name`` if it is not positive definite."""
+    m = symmetric_matrix(a, name)
+    try:
+        return m, np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise ContractError(f"{name} must be positive definite") from None
 
 
 def _symmetric(a: np.ndarray) -> bool:
@@ -416,11 +424,12 @@ def _glasso_block(
             w[j] = w_j
         delta = np.abs(w - w_prev).max()
         if delta < W_TOL:
-            theta = _spd_inverse(w)
-            if theta is None:
+            try:
+                theta = _cholesky_inverse(np.linalg.cholesky(w))
+            except np.linalg.LinAlgError:
                 raise ConvergenceError(
                     "working covariance lost positive definiteness"
-                )
+                ) from None
             gap = duality_gap(sigma, theta, lam)
             if gap <= gap_tol:
                 converged = True
@@ -439,12 +448,8 @@ def _glasso_block(
     return theta
 
 
-def _spd_inverse(a: np.ndarray) -> np.ndarray | None:
-    """Symmetric inverse of ``a`` by Cholesky, or None if that fails."""
-    try:
-        cho = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
+def _cholesky_inverse(cho: np.ndarray) -> np.ndarray:
+    """Symmetric inverse of the matrix whose lower Cholesky factor is ``cho``."""
     inv_cho = np.linalg.inv(cho)
     theta = inv_cho.T @ inv_cho
     return (theta + theta.T) / 2.0
@@ -512,12 +517,10 @@ def select_lambda_ric(t: np.ndarray, n_rotations: int = 20, seed: int = 0) -> fl
     return float(maxima.mean())
 
 
-def _debias(theta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """``2*theta - theta @ sigma @ theta`` (symmetrized) for a PD ``theta``."""
-    try:
-        np.linalg.cholesky(theta)
-    except np.linalg.LinAlgError:
-        raise ContractError("theta_hat must be positive definite") from None
+def _debias(theta_hat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``2*theta - theta @ sigma @ theta`` (symmetrized) for a ``theta_hat``
+    that ``positive_definite`` accepts."""
+    theta, _ = positive_definite(theta_hat, "theta_hat")
     t_hat = 2.0 * theta - theta @ sigma @ theta
     return (t_hat + t_hat.T) / 2.0
 
@@ -534,9 +537,13 @@ def desparsify(
         ``sqrt(theta_ii * theta_jj + theta_ij**2)``.
     z : ``sqrt(n) * t_hat / edge_sd`` off the diagonal, 0 on it.
     p_values : two-sided standard-normal tails of ``z``; 1 on the diagonal.
+
+    Raises
+    ------
+    ContractError from ``positive_definite``, naming ``theta_hat``.
     """
+    t_hat = _debias(theta_hat, np.asarray(sigma_hat, dtype=float))
     theta = np.asarray(theta_hat, dtype=float)
-    t_hat = _debias(theta, np.asarray(sigma_hat, dtype=float))
     d = np.diag(theta)
     edge_sd = np.sqrt(np.outer(d, d) + theta**2)
     z = np.sqrt(n) * t_hat / edge_sd

@@ -25,6 +25,7 @@ from scipy.special import expit, logit
 from .augment import indicator_name
 from .dataset import Category, Dataset, VariableMeta, VarKind
 from .errors import ConfigError, ContractError, MissgraphError
+from .ggm import positive_definite
 from .impute import split_seed
 from .pipeline import AnalysisConfig, analyze_dataset
 from .report import json_record, read_dataclass
@@ -154,30 +155,14 @@ def simulate_spec(spec: dict) -> tuple[Dataset, GroundTruth]:
     )
 
 
-def _require_spd(precision: np.ndarray) -> np.ndarray:
-    try:
-        m = np.asarray(precision, dtype=float)
-    except ValueError:
-        raise ContractError("precision matrix must be a numeric matrix") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ContractError("precision matrix must be square")
-    if not np.allclose(m, m.T, atol=1e-10):
-        raise ContractError("precision matrix must be symmetric")
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise ContractError("precision matrix must be positive definite") from None
-    return m
-
-
 def generate_gaussian(precision: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Draw n i.i.d. rows from N(0, precision^{-1}), deterministically per seed."""
+    """Draw n i.i.d. rows from N(0, precision^{-1}), deterministically per seed;
+    ContractError unless the precision and its inverse are finite and SPD."""
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
-    m = _require_spd(precision)
+    m, _ = positive_definite(precision, "precision matrix")
     cov = np.linalg.inv(m)
-    cov = (cov + cov.T) / 2.0
-    chol = np.linalg.cholesky(cov)
+    _, chol = positive_definite((cov + cov.T) / 2.0, "precision matrix's inverse")
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, m.shape[0])) @ chol.T
 
@@ -267,7 +252,7 @@ def simulate_dataset(
     unknown = sorted(set(categories or {}) - set(names))
     if unknown:
         raise ContractError(f"categories for unknown variables: {', '.join(unknown)}")
-    precision = _require_spd(precision)
+    precision, _ = positive_definite(precision, "precision matrix")
     if len(names) != precision.shape[0]:
         raise ContractError("one name per precision row required")
     latent = generate_gaussian(precision, n, split_seed(seed, 1))

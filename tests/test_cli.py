@@ -799,11 +799,16 @@ class TestSimulate:
                 ]
             },
             {"mechanisms": [{"kind": "MCAR", "target": "a", "rate": 0.3, "seed": -5}]},
+            # json.dumps writes the tokens Infinity and NaN, which json reads.
+            {"precision": [[float("inf"), 0.0], [0.0, 1.0]]},
+            {"precision": [[1.0, float("nan")], [float("nan"), 1.0]]},
+            {"precision": [[1e-320, 0.0], [0.0, 1.0]]},
         ],
         ids=[
             "n_zero", "n_negative", "duplicate_names", "ragged", "non_square",
             "negative_p", "rate_out_of_range", "unknown_category", "ar1_rho_one",
             "unknown_driver", "two_mechanisms_one_target", "negative_mechanism_seed",
+            "infinite_precision", "nan_precision", "precision_inverse_overflows",
         ],
     )
     def test_bad_spec_value_is_numeric_error(self, patch, tmp_path, capsys):

@@ -15,6 +15,7 @@ from missgraph import (
     parse_csv,
     write_csv,
 )
+from missgraph.dataset import write_outputs
 
 from .conftest import make_dataset
 
@@ -236,3 +237,21 @@ class TestRoundTrip:
         path2 = tmp / "ds2.csv"
         write_csv(back, path2)
         assert path.read_text() == path2.read_text()
+
+
+def test_interrupted_write_removes_its_files_and_propagates(tmp_path):
+    # Only an OSError becomes a ConfigError; an interrupt after a partial
+    # write still removes every file the call opened, and escapes as it was.
+    interrupt = KeyboardInterrupt()
+
+    def write_half_then_interrupt(path):
+        path.write_text("a,b\n1.0,")
+        raise interrupt
+
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt) as info:
+        write_outputs(
+            out, [("report.json", "{}"), ("dataset.csv", write_half_then_interrupt)]
+        )
+    assert info.value is interrupt
+    assert list(out.iterdir()) == []

@@ -172,6 +172,15 @@ class TestGlasso:
             glasso_fit(np.ones(shape), 0.1)
 
     @pytest.mark.parametrize(
+        "sigma",
+        [[[1.0, 0.5], [0.5]], [["1", "x"], ["x", "1"]], [[1.0, {}], [{}, 1.0]]],
+        ids=["ragged", "string", "object"],
+    )
+    def test_non_numeric_input_rejected(self, sigma):
+        with pytest.raises(ContractError, match="sigma_hat must be a numeric matrix"):
+            glasso_fit(sigma, 0.1)
+
+    @pytest.mark.parametrize(
         ("where", "value", "match"),
         [
             ((0, 1), np.nan, "finite"),
@@ -214,6 +223,17 @@ class TestGlasso:
         monkeypatch.setattr(missgraph.ggm, "MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError, match="within 1 sweeps"):
             glasso_fit(random_correlation(6, rng), 0.1)
+
+    def test_uncertified_stationary_point_reports_its_gap(self, rng, monkeypatch):
+        # No gap meets a negative tolerance: W turns stationary, its gap is
+        # measured and the error carries it.
+        monkeypatch.setattr(missgraph.ggm, "GAP_TOL", -1.0)
+        monkeypatch.setattr(missgraph.ggm, "MAX_SWEEPS", 20)
+        with pytest.raises(
+            ConvergenceError, match=r"within 20 sweeps \(residual "
+        ) as info:
+            glasso_fit(random_correlation(6, rng), 0.1)
+        assert info.value.residual == pytest.approx(0.0, abs=1e-6)
 
     def test_inner_lasso_meets_its_optimality_conditions(self, rng):
         # 0.5*b'Gb - t'b + lam*|b|_1: t - Gb = lam*sign(b) where b != 0 and
@@ -480,18 +500,32 @@ class TestStart:
         np.testing.assert_allclose(theta, cold, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize(
-        "start",
+        ("start", "match"),
         [
-            np.eye(4),  # wrong shape
-            np.diag([1.0, 1.0, np.nan]),  # not finite
-            np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-            np.diag([1.0, -1.0, 1.0]),  # not positive definite
+            (np.eye(4), r"a \(3, 3\) matrix"),
+            (np.diag([1.0, 1.0, np.nan]), "finite"),
+            (
+                np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                "symmetric",
+            ),
+            (np.diag([1.0, -1.0, 1.0]), "positive definite"),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], "a numeric matrix"),
+            ([["1", "0", "0"], ["0", "x", "0"], ["0", "0", "1"]], "a numeric matrix"),
+            (np.ones((3, 2)), "square"),
+            (np.diag([1.0, np.inf, 1.0]), "finite"),
+            (
+                np.array([[1.0, -np.inf, 0.0], [-np.inf, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                "finite",
+            ),
         ],
-        ids=["shape", "non-finite", "asymmetric", "indefinite"],
+        ids=[
+            "shape", "non-finite", "asymmetric", "indefinite", "ragged",
+            "non-numeric", "non-square", "inf", "minus-inf",
+        ],
     )
-    def test_bad_start_rejected(self, start):
+    def test_bad_start_rejected(self, start, match):
         sigma = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
-        with pytest.raises(ContractError, match="start"):
+        with pytest.raises(ContractError, match=f"start must be {match}"):
             glasso_fit(sigma, 0.1, start=start)
 
     def test_warm_start_is_the_plain_start_inverted_once(self, rng):
@@ -668,9 +702,20 @@ class TestDesparsify:
         assert 0.001 < hits / total < 0.04
 
     def test_requires_positive_definite(self):
-        bad = np.diag([1.0, -1.0])
-        with pytest.raises(ContractError, match="positive definite"):
-            desparsify(bad, np.eye(2), 10)
+        # Unchecked, a non-finite theta gives NaN and an asymmetric one is
+        # symmetrized without a word.
+        for bad, match in [
+            (np.diag([1.0, -1.0]), "positive definite"),
+            (np.diag([np.inf, 1.0]), "finite"),
+            (np.array([[1.0, -np.inf], [-np.inf, 1.0]]), "finite"),
+            (np.diag([np.nan, 1.0]), "finite"),
+            (np.array([[2.0, 0.5], [0.0, 2.0]]), "symmetric"),
+            ([[1.0, 0.0], [0.0]], "a numeric matrix"),
+            ([["1", "x"], ["x", "1"]], "a numeric matrix"),
+            (np.ones((2, 3)), "square"),
+        ]:
+            with pytest.raises(ContractError, match=f"theta_hat must be {match}"):
+                desparsify(bad, np.eye(2), 10)
 
 
 class TestPartialCorrelations:
@@ -785,6 +830,13 @@ def test_memory_layout_moves_no_bit(estimate, layout, rng):
     other = layout(x)
     assert x.flags.c_contiguous and not other.flags.c_contiguous
     np.testing.assert_array_equal(estimate(other), estimate(x))
+
+
+@each_estimate
+@pytest.mark.parametrize("shape", [(5,), (1, 3)], ids=["vector", "one_row"])
+def test_needs_a_matrix_of_two_rows(estimate, shape):
+    with pytest.raises(ContractError, match="2-D matrix with at least 2 rows"):
+        estimate(np.ones(shape))
 
 
 def test_fit_precision_of_one_column(rng):

@@ -53,15 +53,27 @@ class TestGenerateGaussian:
         np.testing.assert_allclose(cov, np.linalg.inv(prec), atol=0.02)
 
     def test_non_spd_rejected(self):
-        with pytest.raises(ContractError, match="positive definite"):
-            generate_gaussian(np.array([[1.0, 2.0], [2.0, 1.0]]), 10, seed=0)
+        inf, nan = np.inf, np.nan
+        for bad, match in [
+            ([[1.0, 2.0], [2.0, 1.0]], "precision matrix must be positive definite"),
+            ([[inf, 0.0], [0.0, 1.0]], "precision matrix must be finite"),
+            ([[1.0, -inf], [-inf, 1.0]], "precision matrix must be finite"),
+            ([[1.0, nan], [nan, 1.0]], "precision matrix must be finite"),
+            # Factorizes, but its inverse overflows.
+            ([[1e-320, 0.0], [0.0, 1.0]], "precision matrix's inverse must be finite"),
+            ([[1.0, 0.0], [0.0]], "precision matrix must be a numeric matrix"),
+            ([["1", "x"], ["x", "1"]], "precision matrix must be a numeric matrix"),
+            (np.ones((2, 3)), "precision matrix must be square"),
+        ]:
+            with pytest.raises(ContractError, match=match):
+                generate_gaussian(bad, 10, seed=0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
             generate_gaussian(np.eye(2), 10, seed=-1)
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ContractError, match="symmetric"):
+        with pytest.raises(ContractError, match="precision matrix must be symmetric"):
             generate_gaussian(np.array([[1.0, 0.5], [0.2, 1.0]]), 10, seed=0)
 
 
@@ -158,10 +170,14 @@ class TestSimulateDataset:
             (10, ["a", "b"], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], None, "square"),
             (10, ["a", "b"], np.eye(2), {"lactat": Category.BLOOD_TESTS}, "lactat"),
             (10, ["a", "b", "c"], np.eye(2), None, "one name per precision row"),
+            (10, ["a", "b"], np.diag([1.0, np.inf]), None, "must be finite"),
+            (10, ["a", "b"], np.diag([1.0, np.nan]), None, "must be finite"),
+            (10, ["a", "b"], np.diag([1e-320, 1.0]), None, "inverse must be finite"),
         ],
         ids=[
             "n_zero", "n_negative", "duplicate_names", "ragged", "non_square",
-            "unknown_category", "names_precision_mismatch",
+            "unknown_category", "names_precision_mismatch", "infinite", "nan",
+            "inverse_overflows",
         ],
     )
     def test_bad_values_are_contract_errors(
