@@ -123,13 +123,7 @@ class Dataset:
         return [m.name for m in self.metas]
 
     def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.index(name)]
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"no variable named {name!r}") from None
+        return self.values[:, self.names.index(name)]
 
 
 def _parse_cell(text: str, na_tokens: frozenset[str]) -> float:

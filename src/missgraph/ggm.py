@@ -206,7 +206,8 @@ def _lasso_active_set(
 
 
 def duality_gap(sigma_hat: np.ndarray, theta: np.ndarray, lam: float) -> float:
-    """Primal-dual gap of the penalized likelihood at (theta, theta^{-1})."""
+    """Primal-dual gap of the penalized likelihood at (theta, theta^{-1}),
+    unchecked: the solver calls it on every stationary sweep."""
     off_l1 = np.abs(theta).sum() - np.abs(np.diag(theta)).sum()
     return float(np.sum(sigma_hat * theta) - theta.shape[0] + lam * off_l1)
 
@@ -249,8 +250,8 @@ def glasso_fit(
     ----------
     sigma_hat : finite, symmetric sample correlation/covariance matrix with a
         positive diagonal.
-    lam : finite penalty level, >= 0.  With lam = 0 the input must be invertible and
-        the plain inverse is returned.
+    lam : finite penalty level, >= 0.  With lam = 0 the input must be
+        positive definite and its plain inverse is returned.
     start : optional symmetric positive-definite precision of the same shape,
         such as the estimate of a similar ``sigma_hat``, to start from (see
         ``_block_start``), or a ``WarmStart`` of one.  The answer is the same
@@ -271,12 +272,12 @@ def glasso_fit(
 
     Raises
     ------
-    ContractError for a ``sigma_hat`` that ``symmetric_matrix`` rejects or
-    with a diagonal entry <= 0, a negative or non-finite lam, or a ``start``
-    that ``WarmStart.of`` rejects or of the wrong shape; ConvergenceError if
-    a component does not converge within ``MAX_SWEEPS`` sweeps, a column's
-    lasso exceeds its step budget, or the working covariance loses positive
-    definiteness.
+    ContractError for a ``sigma_hat`` that ``symmetric_matrix`` rejects, with
+    a diagonal entry <= 0 or, at lam = 0, not positive definite, a negative
+    or non-finite lam, or a ``start`` that ``WarmStart.of`` rejects or of the
+    wrong shape; ConvergenceError if a component does not converge within
+    ``MAX_SWEEPS`` sweeps, a column's lasso exceeds its step budget, or the
+    working covariance loses positive definiteness.
     """
     sigma = symmetric_matrix(sigma_hat, "sigma_hat")
     if not (np.diag(sigma) > 0.0).all():
@@ -288,18 +289,9 @@ def glasso_fit(
     if start is not None:
         if not isinstance(start, WarmStart):
             start = WarmStart.of(start)
-        if start.theta.shape != sigma.shape:
-            raise ContractError(
-                f"start must be a {sigma.shape} matrix, got {start.theta.shape}"
-            )
+        _shaped(start.theta, sigma, "start")
     if lam == 0.0:
-        try:
-            theta = np.linalg.inv(sigma)
-        except np.linalg.LinAlgError:
-            raise ContractError(
-                "lambda = 0 requires an invertible sigma_hat"
-            ) from None
-        return (theta + theta.T) / 2.0
+        return _cholesky_inverse(positive_definite(sigma, "sigma_hat")[1])
 
     p = sigma.shape[0]
     labels = _screen_labels(np.abs(sigma) > lam)
@@ -346,9 +338,18 @@ def positive_definite(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]
         raise ContractError(f"{name} must be positive definite") from None
 
 
+def _shaped(m: np.ndarray, like: np.ndarray, name: str) -> np.ndarray:
+    """``m``, or ContractError naming ``name`` unless it has ``like``'s shape."""
+    if m.shape != like.shape:
+        raise ContractError(f"{name} must be a {like.shape} matrix, got {m.shape}")
+    return m
+
+
 def _symmetric(a: np.ndarray) -> bool:
-    """``np.allclose(a, a.T, atol=1e-10)`` for a finite ``a``, written out."""
-    return bool((np.abs(a - a.T) <= 1e-10 + 1e-5 * np.abs(a.T)).all())
+    """``np.allclose(a, a.T, atol=1e-10)`` for a finite ``a``, written out;
+    exact symmetry, which the estimator's own matrices have, is tested first."""
+    exact = (a == a.T).all()
+    return bool(exact or (np.abs(a - a.T) <= 1e-10 + 1e-5 * np.abs(a.T)).all())
 
 
 def _screen_labels(screen: np.ndarray) -> np.ndarray:
@@ -462,26 +463,24 @@ def kkt_certificate(
 
     Returns the largest off-support violation of ``|W_ij - sigma_ij| <= lam``,
     the largest on-support deviation from ``W_ij - sigma_ij = lam*sign``, and
-    the duality gap, with ``W = theta_hat^{-1}``.
+    the duality gap, with ``W = theta_hat^{-1}``.  Raises ContractError for a
+    ``theta_hat`` that ``positive_definite`` rejects, or a ``sigma_hat`` that
+    ``symmetric_matrix`` rejects or of another shape.
     """
-    w = np.linalg.inv(theta_hat)
-    w = (w + w.T) / 2.0
-    resid = w - sigma_hat
-    off = ~np.eye(theta_hat.shape[0], dtype=bool)
-    support = (theta_hat != 0.0) & off
-    inactive = (theta_hat == 0.0) & off
-    off_violation = (
-        float((np.abs(resid[inactive]) - lam).max()) if inactive.any() else -lam
-    )
-    sign_dev = (
-        float(np.abs(resid[support] - lam * np.sign(theta_hat[support])).max())
-        if support.any()
-        else 0.0
+    theta, cho = positive_definite(theta_hat, "theta_hat")
+    sigma = _shaped(symmetric_matrix(sigma_hat, "sigma_hat"), theta, "sigma_hat")
+    resid = _cholesky_inverse(cho) - sigma
+    off = ~np.eye(theta.shape[0], dtype=bool)
+    support = (theta != 0.0) & off
+    inactive = (theta == 0.0) & off
+    off_violation = float(np.max(np.abs(resid[inactive]) - lam, initial=-lam))
+    sign_dev = float(
+        np.max(np.abs(resid[support] - lam * np.sign(theta[support])), initial=0.0)
     )
     return {
         "off_support_violation": off_violation,
         "on_support_deviation": sign_dev,
-        "duality_gap": duality_gap(sigma_hat, theta_hat, lam),
+        "duality_gap": duality_gap(sigma, theta, lam),
     }
 
 
@@ -517,10 +516,11 @@ def select_lambda_ric(t: np.ndarray, n_rotations: int = 20, seed: int = 0) -> fl
     return float(maxima.mean())
 
 
-def _debias(theta_hat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """``2*theta - theta @ sigma @ theta`` (symmetrized) for a ``theta_hat``
-    that ``positive_definite`` accepts."""
+def _debias(theta_hat: np.ndarray, sigma_hat: np.ndarray) -> np.ndarray:
+    """``2*theta - theta @ sigma @ theta`` (symmetrized), with the checks of
+    ``kkt_certificate``."""
     theta, _ = positive_definite(theta_hat, "theta_hat")
+    sigma = _shaped(symmetric_matrix(sigma_hat, "sigma_hat"), theta, "sigma_hat")
     t_hat = 2.0 * theta - theta @ sigma @ theta
     return (t_hat + t_hat.T) / 2.0
 
@@ -540,9 +540,10 @@ def desparsify(
 
     Raises
     ------
-    ContractError from ``positive_definite``, naming ``theta_hat``.
+    ContractError for a ``theta_hat`` that ``positive_definite`` rejects, or
+    a ``sigma_hat`` that ``symmetric_matrix`` rejects or of another shape.
     """
-    t_hat = _debias(theta_hat, np.asarray(sigma_hat, dtype=float))
+    t_hat = _debias(theta_hat, sigma_hat)
     theta = np.asarray(theta_hat, dtype=float)
     d = np.diag(theta)
     edge_sd = np.sqrt(np.outer(d, d) + theta**2)
@@ -557,9 +558,11 @@ def partial_correlations(t_hat: np.ndarray) -> np.ndarray:
     """Partial correlations ``-T_ij / sqrt(T_ii * T_jj)`` with unit diagonal.
 
     Values are clamped into [-1, 1]; a clamp larger than 1e-6 triggers a
-    warning because it signals a badly scaled precision estimate.
+    warning because it signals a badly scaled precision estimate.  Raises
+    ContractError for a ``t_hat`` that ``symmetric_matrix`` rejects or with a
+    diagonal entry <= 0.
     """
-    t = np.asarray(t_hat, dtype=float)
+    t = symmetric_matrix(t_hat, "t_hat")
     d = np.diag(t)
     if np.any(d <= 0.0):
         raise ContractError("t_hat must have a strictly positive diagonal")

@@ -157,7 +157,9 @@ def simulate_spec(spec: dict) -> tuple[Dataset, GroundTruth]:
 
 def generate_gaussian(precision: np.ndarray, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. rows from N(0, precision^{-1}), deterministically per seed;
-    ContractError unless the precision and its inverse are finite and SPD."""
+    ContractError unless the precision and its inverse are finite and SPD.
+    The covariance is an LU inverse (``np.linalg.inv``), not a Cholesky one:
+    every simulated draw, and so every benchmark input, carries its bits."""
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
     m, _ = positive_definite(precision, "precision matrix")

@@ -145,6 +145,24 @@ class TestGlasso:
             # positive definite
             assert np.linalg.eigvalsh(theta).min() > 0
 
+    @pytest.mark.parametrize(
+        ("theta", "sigma", "match"),
+        [
+            (np.zeros((2, 2)), np.eye(2), "theta_hat must be positive definite"),
+            (np.diag([1.0, -1.0]), np.eye(2), "theta_hat must be positive definite"),
+            (np.eye(2), np.diag([np.nan, 1.0]), "sigma_hat must be finite"),
+            (np.eye(2), [[1.0, 0.0], [0.0]], "sigma_hat must be a numeric matrix"),
+            (np.eye(2), np.eye(3), r"sigma_hat must be a \(2, 2\) matrix, got \(3,"),
+        ],
+        ids=["singular", "indefinite", "nan-sigma", "ragged-sigma", "shape"],
+    )
+    def test_kkt_certificate_rejects_bad_matrices(self, theta, sigma, match):
+        # Unchecked, a singular theta raises LinAlgError, an indefinite one and
+        # a NaN sigma give a "certificate", and a ragged or misshapen sigma a
+        # bare ValueError.
+        with pytest.raises(ContractError, match=match):
+            kkt_certificate(sigma, theta, 0.1)
+
     def test_support_shrinks_with_lambda(self, rng):
         sigma = random_correlation(8, rng)
         sizes = []
@@ -391,9 +409,12 @@ class TestGlasso:
         assert abs(cert["duality_gap"]) <= 1e-6
 
     def test_singular_matrix_needs_penalty(self):
-        ones = np.ones((3, 3))
-        with pytest.raises(ContractError, match="invertible"):
-            glasso_fit(ones, 0.0)
+        # At lam = 0 the answer is the plain inverse, which is a precision
+        # only for a positive-definite sigma_hat: a singular one has none, and
+        # an indefinite one's inverse is indefinite too.
+        for sigma in (np.ones((3, 3)), [[1.0, 2.0], [2.0, 1.0]]):
+            with pytest.raises(ContractError, match="sigma_hat must be positive"):
+                glasso_fit(sigma, 0.0)
 
     def test_duality_gap_zero_at_unpenalized_optimum(self, rng):
         sigma = random_correlation(4, rng)
@@ -716,6 +737,15 @@ class TestDesparsify:
         ]:
             with pytest.raises(ContractError, match=f"theta_hat must be {match}"):
                 desparsify(bad, np.eye(2), 10)
+        # sigma_hat gets the same checks: unchecked, a NaN gives NaN and a
+        # ragged or misshapen one a bare ValueError.
+        for bad, match in [
+            (np.diag([np.nan, 1.0]), "finite"),
+            ([[1.0, 0.0], [0.0]], "a numeric matrix"),
+            (np.eye(3), r"a \(2, 2\) matrix, got \(3, 3\)"),
+        ]:
+            with pytest.raises(ContractError, match=f"sigma_hat must be {match}"):
+                desparsify(np.eye(2), bad, 10)
 
 
 class TestPartialCorrelations:
@@ -770,6 +800,17 @@ class TestPartialCorrelations:
     def test_non_positive_diagonal_rejected(self):
         with pytest.raises(ContractError, match="diagonal"):
             partial_correlations(np.diag([1.0, 0.0]))
+
+    def test_bad_t_hat_rejected(self):
+        # Unchecked, a ragged t_hat raises a bare ValueError, a NaN diagonal
+        # gives NaN and an asymmetric one an asymmetric rho.
+        for bad, match in [
+            ([[1.0, 0.5], [0.5]], "a numeric matrix"),
+            (np.diag([np.nan, 1.0]), "finite"),
+            (np.array([[1.0, 0.5], [0.1, 1.0]]), "symmetric"),
+        ]:
+            with pytest.raises(ContractError, match=f"t_hat must be {match}"):
+                partial_correlations(bad)
 
     def test_clamp_warns_when_large(self):
         t = np.array([[1.0, -1.5], [-1.5, 1.0]])
