@@ -35,19 +35,19 @@ print("ground truth arcs:", truth.expected_arcs())
 config = AnalysisConfig(alpha=0.01, n_imputations=25, seed=7)
 result = analyze_dataset(dataset, config)
 
-print(f"\nselected lambda (one for all members): {result.lambdas[0]:.4f}")
-print(f"\n{len(result.arcs)} significant observation<->completeness arcs:")
-for arc in result.arcs:
+print(f"\nselected lambda (one for all members): {result.report.lambdas[0]:.4f}")
+print(f"\n{len(result.report.arcs)} significant observation<->completeness arcs:")
+for arc in result.report.arcs:
     extra = ""
     if arc.counterpart_rho is not None:
         extra = f"  [value pair rho={arc.counterpart_rho:+.4f}, p={arc.counterpart_p:.2e}]"
     print(
-        f"  {arc.observation_var:<11} -- {arc.completeness_var:<22} "
-        f"rho={arc.pooled_rho:+.4f}  p={arc.p_value:.2e}{extra}"
+        f"  {arc.obs_var:<11} -- {arc.comp_var:<22} "
+        f"rho={arc.rho:+.4f}  p={arc.p:.2e}{extra}"
     )
 
 print("\nmissing-not-at-random evidence:")
-for finding in result.findings:
+for finding in result.report.mnar_findings:
     print(
         f"  {finding.variable}: self-arc rho={finding.self_arc_rho:+.4f} "
         f"(p={finding.self_arc_p:.2e}), witnesses: {', '.join(finding.witnesses)}"

@@ -110,11 +110,12 @@ def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _analysis_config(args)
     result, written = run_analysis(config)
-    for warning in result.report.warnings:
+    report = result.report
+    for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"report: {written[0]}")
     print(
-        f"arcs: {len(result.arcs)}  mnar findings: {len(result.findings)}"
+        f"arcs: {len(report.arcs)}  mnar findings: {len(report.mnar_findings)}"
         f"  (alpha={config.alpha})"
     )
     return 0
@@ -141,12 +142,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    report = read_json(args.report, "report")
+    data = read_json(args.report, "report")
     try:
-        # Rendering reads every arc and variable field the file may lack.
-        rendered = export_graph(AnalysisReport(**report), args.format)
-    except (ValueError, TypeError, KeyError) as exc:
+        report = read_dataclass(AnalysisReport, data, "report")
+    except ConfigError as exc:
         raise ConfigError(f"report {args.report} is not a valid report: {exc}") from exc
+    rendered = export_graph(report, args.format)
     if args.out is None:
         sys.stdout.write(rendered)
     else:

@@ -22,8 +22,9 @@ Seeding: member k (1-based) imputes with ``split_seed(seed, k)``; the
 permutation null runs with ``split_seed(split_seed(seed, 1), RIC_STREAM)``,
 so the whole run is a pure function of (config, seed).
 
-A JSON config becomes an ``AnalysisConfig`` through ``report.read_dataclass``,
-and ``report.json_record`` writes every record of the report.
+A JSON config becomes an ``AnalysisConfig`` through ``report.read_dataclass``.
+The report holds the records computed here (variables, profile rows, pooled
+edges, arcs, findings), and ``report.json_record`` writes each of them.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ from .ggm import WarmStart, fit_precision, select_lambda_ric
 from .impute import hot_deck_draws, hot_deck_impute, split_seed
 from .npn import FillRanks, nonparanormal_transform
 from .pooling import (
-    MissingnessArc,
-    MnarFinding,
     PooledEdgeTable,
     detect_mnar,
     edge_p_values,
@@ -66,7 +65,7 @@ from .pooling import (
     pool_partial_correlations,
     require_fisher_dof,
 )
-from .report import ARC_FIELDS, AnalysisReport, json_record, render_arcs_csv, render_dot
+from .report import AnalysisReport, json_record, render_arcs_csv, render_dot
 
 #: Stream index separating the RIC permutation RNG from the imputation RNG.
 RIC_STREAM = 7919
@@ -118,9 +117,6 @@ class AnalysisResult:
 
     report: AnalysisReport
     table: PooledEdgeTable
-    arcs: list[MissingnessArc]
-    findings: list[MnarFinding]
-    lambdas: list[float]
     members: list[np.ndarray] = field(default_factory=list)
 
 
@@ -197,51 +193,22 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     with stage("inference"):
         arcs = extract_missingness_arcs(table, config.alpha)
         findings = detect_mnar(arcs, table, config.alpha)
-    elapsed = time.perf_counter() - started
-    report = _build_report(
-        dataset, config, table, arcs, findings, lambdas,
-        list(augmented.excluded_constant), warnings_list, elapsed,
-    )
-    return AnalysisResult(
-        report=report,
-        table=table,
-        arcs=arcs,
-        findings=findings,
+    report = AnalysisReport(
+        meta=_meta(dataset, config, time.perf_counter() - started),
+        variables=list(metas),
+        missing_profile=missing_profile(dataset),
+        excluded_constant=list(augmented.excluded_constant),
+        warnings=warnings_list,
         lambdas=lambdas,
-        members=members,
+        edges=table.edges(),
+        arcs=arcs,
+        mnar_findings=findings,
     )
+    return AnalysisResult(report=report, table=table, members=members)
 
 
-def _build_report(
-    dataset: Dataset,
-    config: AnalysisConfig,
-    table: PooledEdgeTable,
-    arcs: list[MissingnessArc],
-    findings: list[MnarFinding],
-    lambdas: list[float],
-    excluded: list[str],
-    warnings_list: list[str],
-    elapsed: float,
-) -> AnalysisReport:
-    names = table.names
-    upper = np.triu_indices(table.p_vars, k=1)
-    edges = [
-        {
-            "var_a": names[i],
-            "var_b": names[j],
-            "pooled_rho": rho,
-            "p_value": p_value,
-            "support_count": count,
-        }
-        for i, j, rho, p_value, count in zip(
-            upper[0].tolist(),
-            upper[1].tolist(),
-            table.pooled_rho[upper].tolist(),
-            table.p_value[upper].tolist(),
-            table.support_count[upper].tolist(),
-        )
-    ]
-    meta = {
+def _meta(dataset: Dataset, config: AnalysisConfig, elapsed: float) -> dict:
+    return {
         "package": "missgraph",
         "version": __version__,
         "numpy_version": np.__version__,
@@ -254,17 +221,6 @@ def _build_report(
             "elapsed_seconds": elapsed,
         },
     }
-    return AnalysisReport(
-        meta=meta,
-        variables=[json_record(m) for m in table.metas],
-        missing_profile=[json_record(row) for row in missing_profile(dataset)],
-        excluded_constant=excluded,
-        warnings=warnings_list,
-        lambdas=lambdas,
-        edges=edges,
-        arcs=[dict(zip(ARC_FIELDS, json_record(a).values())) for a in arcs],
-        mnar_findings=[json_record(f) for f in findings],
-    )
 
 
 def run_analysis(config: AnalysisConfig) -> tuple[AnalysisResult, list[Path]]:

@@ -25,6 +25,17 @@ from .ggm import PrecisionFit
 
 
 @dataclass(frozen=True)
+class PooledEdge:
+    """One pair of the pooled table, as the report lists it."""
+
+    var_a: str
+    var_b: str
+    pooled_rho: float
+    p_value: float
+    support_count: int
+
+
+@dataclass(frozen=True)
 class PooledEdgeTable:
     """Pooled partial correlations for every unordered variable pair.
 
@@ -51,21 +62,32 @@ class PooledEdgeTable:
     def p_vars(self) -> int:
         return self.pooled_rho.shape[0]
 
+    def edges(self) -> list[PooledEdge]:
+        """Every pair (i, j) with i < j, row by row."""
+        if self.p_value is None:
+            raise ContractError("run edge_p_values before listing edges")
+        i, j = np.triu_indices(self.p_vars, k=1)
+        names = np.array(self.names, dtype=object)
+        columns = (names[i], names[j], self.pooled_rho[i, j], self.p_value[i, j],
+                   self.support_count[i, j])
+        return list(map(PooledEdge, *(column.tolist() for column in columns)))
+
 
 @dataclass(frozen=True)
 class MissingnessArc:
     """A significant observation <-> completeness conditional dependency.
 
+    Its fields are the keys of a report arc, in the same order.
     ``counterpart_rho``/``counterpart_p`` describe the pair (observation
     variable, parent of the completeness variable); they are None when the
     arc links a variable to its own indicator, where the counterpart pair
     would be degenerate.
     """
 
-    observation_var: str
-    completeness_var: str
-    pooled_rho: float
-    p_value: float
+    obs_var: str
+    comp_var: str
+    rho: float
+    p: float
     sign: str  # "positive" | "negative"
     counterpart_rho: float | None
     counterpart_p: float | None
@@ -184,16 +206,16 @@ def extract_missingness_arcs(
             counterpart_p = float(table.p_value[oi, pi])
         arcs.append(
             MissingnessArc(
-                observation_var=obs.name,
-                completeness_var=comp.name,
-                pooled_rho=rho,
-                p_value=p,
+                obs_var=obs.name,
+                comp_var=comp.name,
+                rho=rho,
+                p=p,
                 sign="positive" if rho > 0 else "negative",
                 counterpart_rho=counterpart_rho,
                 counterpart_p=counterpart_p,
             )
         )
-    arcs.sort(key=lambda a: (a.p_value, a.observation_var, a.completeness_var))
+    arcs.sort(key=lambda a: (a.p, a.obs_var, a.comp_var))
     return arcs
 
 
@@ -216,14 +238,14 @@ def detect_mnar(
     for arc in arcs:
         if not arc.is_self_arc:
             continue
-        a, c = row_of[arc.observation_var], row_of[arc.completeness_var]
+        a, c = row_of[arc.obs_var], row_of[arc.comp_var]
         witnesses = linked[a] & linked[c]
         witnesses[[a, c]] = False
         findings.append(
             MnarFinding(
-                variable=arc.observation_var,
-                self_arc_rho=arc.pooled_rho,
-                self_arc_p=arc.p_value,
+                variable=arc.obs_var,
+                self_arc_rho=arc.rho,
+                self_arc_p=arc.p,
                 witnesses=tuple(names[k] for k in np.flatnonzero(witnesses)),
             )
         )

@@ -1,17 +1,20 @@
 """Records to and from JSON, and the analysis report's renderings.
 
 ``json_record`` writes a dataclass record as JSON, ``read_dataclass`` reads
-one back with every value's type checked.  The report is a plain data bag,
-so ``AnalysisReport(**json.loads(report.to_json()))`` reproduces it exactly.
-All volatile run information (wall-clock timestamp, elapsed seconds) lives
-under ``meta["runtime"]``; everything else is a pure function of config and
-seed, which is what makes repeated runs byte-comparable.
+one back with every value's type checked.  Each list of the report holds the
+records the pipeline computed, so
+``read_dataclass(AnalysisReport, json.loads(report.to_json()), "report")``
+reproduces a report exactly.  All volatile run information (wall-clock
+timestamp, elapsed seconds) lives under ``meta["runtime"]``; everything else
+is a pure function of config and seed, which is what makes repeated runs
+byte-comparable.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import functools
 import io
 import json
 import types
@@ -19,19 +22,9 @@ import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path, PurePath
 
-from .dataset import VarKind
+from .dataset import ProfileRow, VariableMeta, VarKind
 from .errors import ConfigError
-
-#: Report keys of an arc, in ``MissingnessArc`` field order.
-ARC_FIELDS = (
-    "obs_var",
-    "comp_var",
-    "rho",
-    "p",
-    "sign",
-    "counterpart_rho",
-    "counterpart_p",
-)
+from .pooling import MissingnessArc, MnarFinding, PooledEdge
 
 ARC_CSV_COLUMNS = (
     "obs_var",
@@ -48,8 +41,9 @@ def json_record(record) -> dict:
     """JSON form of a dataclass record, its fields in order.
 
     Converts the other way round from ``read_dataclass``: an enum becomes
-    its value, a path a string, a frozenset a sorted list and a tuple a
-    list.  Other values are kept as they are, not copied.
+    its value, a path a string, a frozenset a sorted list, and a list or a
+    tuple a list with each record in it in its JSON form.  Other values are
+    kept as they are, not copied.
     """
     return {f.name: _json_value(getattr(record, f.name)) for f in fields(record)}
 
@@ -61,8 +55,8 @@ def _json_value(value):
         return str(value)
     if isinstance(value, frozenset):
         return sorted(value)
-    if isinstance(value, tuple):
-        return list(value)
+    if isinstance(value, (list, tuple)):
+        return [json_record(v) if is_dataclass(v) else v for v in value]
     return value
 
 
@@ -81,6 +75,7 @@ _JSON_TYPES = {
         "a list of strings",
     ),
     list: (lambda v: isinstance(v, list), "a list"),
+    tuple: (lambda v: isinstance(v, list), "a list"),
     dict: (lambda v: isinstance(v, dict), "an object"),
 }
 
@@ -100,12 +95,13 @@ def read_dataclass(cls, values, what: str = "config"):
     """Build dataclass ``cls`` from a parsed JSON object keyed by field name.
 
     Each value must have its field's JSON type (``null`` only where the type
-    allows None); a non-object, an unknown or missing key or a wrong type is
-    a ConfigError whose message names ``what``.
+    allows None); a non-object, an unknown or missing key, a wrong type or a
+    ValueError of the record's own checks is a ConfigError whose message
+    names ``what``.
     """
     if not isinstance(values, dict):
         raise ConfigError(f"{what} must be a JSON object, got {values!r}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     unknown = sorted(set(values) - set(hints))
     if unknown:
         raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
@@ -118,11 +114,25 @@ def read_dataclass(cls, values, what: str = "config"):
     ]
     if missing:
         raise ConfigError(f"missing {what} keys: {', '.join(missing)}")
-    return cls(**{k: _coerce(k, hints[k], v, what) for k, v in values.items()})
+    kwargs = {k: _coerce(k, hints[k], v, what) for k, v in values.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+@functools.cache
+def _type_hints(cls) -> dict:
+    """Field types of ``cls``, resolved once: a report holds thousands of edges."""
+    return typing.get_type_hints(cls)
 
 
 def _coerce(name: str, hint, value, what: str):
-    """Check ``value`` against the JSON type of field ``name`` and convert it."""
+    """Check ``value`` against the JSON type of field ``name`` and convert it.
+
+    A ``list[X]``, ``tuple[X, ...]`` or ``dict[str, X]`` has its items read
+    as ``X``; a bare ``list`` or ``dict`` is kept as parsed.
+    """
     union = typing.get_origin(hint) is types.UnionType
     options = typing.get_args(hint) if union else (hint,)
     if value is None and type(None) in options:
@@ -138,32 +148,37 @@ def _coerce(name: str, hint, value, what: str):
     args = typing.get_args(option)
     if is_dataclass(kind):
         return read_dataclass(kind, value, name)
-    if kind is list:
-        return [_coerce(f"{name}[{i}]", args[0], v, what) for i, v in enumerate(value)]
-    if kind is dict:
+    if kind is dict and args:
         return {k: _coerce(f"{name}.{k}", args[1], v, what) for k, v in value.items()}
+    if kind in (list, tuple) and args:
+        items = [_coerce(f"{name}[{i}]", args[0], v, what) for i, v in enumerate(value)]
+        return items if kind is list else tuple(items)
     return kind(value)
 
 
 @dataclass
 class AnalysisReport:
-    """End-to-end analysis result in JSON-ready form."""
+    """End-to-end analysis result: the records the pipeline computed.
+
+    ``meta`` holds the package and library versions, the seed, the row
+    count, the config and the volatile ``runtime``.
+    """
 
     meta: dict
-    variables: list[dict]
-    missing_profile: list[dict]
+    variables: list[VariableMeta]
+    missing_profile: list[ProfileRow]
     excluded_constant: list[str]
     warnings: list[str]
     lambdas: list[float]
-    edges: list[dict]
-    arcs: list[dict]
-    mnar_findings: list[dict]
+    edges: list[PooledEdge]
+    arcs: list[MissingnessArc]
+    mnar_findings: list[MnarFinding]
 
     def to_json(self) -> str:
         return json.dumps(json_record(self), indent=2, ensure_ascii=False) + "\n"
 
     def names(self, kind: VarKind) -> list[str]:
-        return [v["name"] for v in self.variables if v["kind"] == kind.value]
+        return [v.name for v in self.variables if v.kind is kind]
 
 
 def _dot_quote(name: str) -> str:
@@ -189,10 +204,10 @@ def render_dot(report: AnalysisReport) -> str:
         lines.append(f"    {_dot_quote(name)};")
     lines.append("  }")
     for arc in report.arcs:
-        color = "green" if arc["sign"] == "positive" else "red"
-        label = f"ρ={arc['rho']:.4g}, p={arc['p']:.3g}"
+        color = "green" if arc.sign == "positive" else "red"
+        label = f"ρ={arc.rho:.4g}, p={arc.p:.3g}"
         lines.append(
-            f"  {_dot_quote(arc['obs_var'])} -- {_dot_quote(arc['comp_var'])}"
+            f"  {_dot_quote(arc.obs_var)} -- {_dot_quote(arc.comp_var)}"
             f' [color={color}, label="{label}"];'
         )
     lines.append("}")
@@ -204,7 +219,7 @@ def render_arcs_csv(report: AnalysisReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ARC_CSV_COLUMNS)
     for arc in report.arcs:
-        writer.writerow([_csv_cell(arc[key]) for key in ARC_CSV_COLUMNS])
+        writer.writerow([_csv_cell(getattr(arc, key)) for key in ARC_CSV_COLUMNS])
     return buf.getvalue()
 
 
@@ -221,7 +236,7 @@ def render_graph_json(report: AnalysisReport) -> str:
             "observation": report.names(VarKind.OBSERVATION),
             "completeness": report.names(VarKind.COMPLETENESS),
         },
-        "edges": [{key: arc[key] for key in ARC_FIELDS} for arc in report.arcs],
+        "edges": [json_record(arc) for arc in report.arcs],
     }
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 

@@ -313,8 +313,8 @@ def run_benchmark(truths: list[GroundTruth], config=None) -> dict:
             stats["errors"] += 1
             failures.append(f"{label}: {exc}")
             continue
-        found = {(a.observation_var, a.completeness_var) for a in result.arcs}
-        roles = Counter(VarKind(v["kind"]) for v in result.report.variables)
+        found = {(a.obs_var, a.comp_var) for a in result.report.arcs}
+        roles = Counter(v.kind for v in result.report.variables)
         stats["mixed_pairs"] += roles[VarKind.COMPLETENESS] * roles[VarKind.OBSERVATION]
         expected = truth.expected_arcs()
         stats["false_arcs"] += len(found - expected - truth.indirect_arcs())
@@ -326,7 +326,7 @@ def run_benchmark(truths: list[GroundTruth], config=None) -> dict:
                     stats["mnar_self_hits"] += 1
                     if any(
                         f.witnesses
-                        for f in result.findings
+                        for f in result.report.mnar_findings
                         if f.variable == spec.target
                     ):
                         stats["witness_hits"] += 1

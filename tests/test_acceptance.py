@@ -159,10 +159,10 @@ def test_criterion_4_mnar_detection_power():
         spec = MechanismSpec(kind="MNAR", target="a", rate=0.3, slope=1.5)
         ds, _ = simulate_dataset(prec, 5000, ["a", "w"], [spec], seed=40_000 + rep)
         result = analyze_dataset(ds, cfg)
-        found = {(a.observation_var, a.completeness_var) for a in result.arcs}
+        found = {(a.obs_var, a.comp_var) for a in result.report.arcs}
         if ("a", indicator_name("a")) in found:
             flagged += 1
-            if any(f.variable == "a" and f.witnesses for f in result.findings):
+            if any(f.variable == "a" and f.witnesses for f in result.report.mnar_findings):
                 witnessed += 1
     power = flagged / reps
     witness_rate = witnessed / flagged if flagged else 0.0
@@ -192,7 +192,7 @@ def test_criterion_5_mar_detection():
             prec, 5000, ["a", "w", "z"], [spec], seed=50_000 + rep
         )
         result = analyze_dataset(ds, cfg)
-        found = {(a.observation_var, a.completeness_var) for a in result.arcs}
+        found = {(a.obs_var, a.comp_var) for a in result.report.arcs}
         if ("z", indicator_name("a")) in found:
             driver_hits += 1
         if ("a", indicator_name("a")) in found:
@@ -222,7 +222,7 @@ def test_criterion_6_mcar_null_false_arc_rate():
         ]
         ds, _ = simulate_dataset(prec, 2000, ["a", "b", "c"], specs, seed=5000 + rep)
         result = analyze_dataset(ds, cfg)
-        false_arcs += len(result.arcs)
+        false_arcs += len(result.report.arcs)
         mixed_pairs += 3 * 2  # 3 observation vars x 2 indicators
     rate = false_arcs / mixed_pairs
     band = 2 * math.sqrt(alpha * (1 - alpha) / mixed_pairs)

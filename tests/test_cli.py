@@ -16,12 +16,15 @@ import missgraph.pipeline
 from missgraph import (
     AnalysisReport,
     ConfigError,
+    VarKind,
+    VariableMeta,
     export_graph,
     fit_precision,
     nonparanormal_transform,
     pool_partial_correlations,
 )
 from missgraph.cli import main
+from missgraph.report import read_dataclass
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -101,7 +104,7 @@ class TestAnalyze:
 
     def test_report_round_trips_through_json(self, mnar_run):
         text = (mnar_run / "report.json").read_text()
-        report = AnalysisReport(**json.loads(text))
+        report = read_dataclass(AnalysisReport, json.loads(text), "report")
         assert report.to_json() == text
 
     def test_determinism_modulo_timestamps(self, tmp_path, capsys):
@@ -865,8 +868,8 @@ class TestExport:
         report = AnalysisReport(
             meta={},
             variables=[
-                {"name": "a", "category": "Other", "kind": "Observation", "parent": None},
-                {"name": "a__observed", "category": "Other", "kind": "Completeness", "parent": "a"},
+                VariableMeta(name="a"),
+                VariableMeta(name="a__observed", kind=VarKind.COMPLETENESS, parent="a"),
             ],
             missing_profile=[],
             excluded_constant=[],
@@ -883,7 +886,8 @@ class TestExport:
         assert "--" not in dot.replace("__observed", "")
 
     def test_unknown_format_is_config_error(self, mnar_run):
-        report = AnalysisReport(**json.loads(self.report_path(mnar_run).read_text()))
+        data = json.loads(self.report_path(mnar_run).read_text())
+        report = read_dataclass(AnalysisReport, data, "report")
         with pytest.raises(ConfigError, match="unknown export format 'svg'"):
             export_graph(report, "svg")
 
@@ -933,13 +937,42 @@ class TestExport:
         assert target.read_text() == (mnar_run / "arcs.csv").read_text()
 
     @pytest.mark.parametrize(
-        "fmt, damage",
+        "fmt, damage, field",
         [
-            ("dot", lambda r: r["arcs"][0].pop("sign")),
-            ("csv", lambda r: r["arcs"][0].pop("counterpart_rho")),
-            ("csv", lambda r: r.update(arcs=5)),
-            ("dot", lambda r: r.update(variables=[1])),
-            ("json", lambda r: r.update(arcs=5)),
+            ("dot", lambda r: r["arcs"][0].pop("sign"), "arcs[0] keys: sign"),
+            (
+                "csv",
+                lambda r: r["arcs"][0].pop("counterpart_rho"),
+                "arcs[0] keys: counterpart_rho",
+            ),
+            ("csv", lambda r: r.update(arcs=5), "'arcs' must be a list"),
+            ("dot", lambda r: r.update(variables=[1]), "'variables[0]' must be an object"),
+            ("json", lambda r: r.update(arcs=5), "'arcs' must be a list"),
+            ("csv", lambda r: r["arcs"][0].update(rho="abc"), "arcs[0] key 'rho' must be"),
+            ("json", lambda r: r["arcs"][0].update(rho="abc"), "arcs[0] key 'rho' must be"),
+            ("json", lambda r: r["arcs"][0].update(p=None), "arcs[0] key 'p' must be"),
+            (
+                "dot",
+                lambda r: [v.pop("kind") for v in r["variables"]],
+                "variables[2]: observation variable 'lab_value__observed' cannot",
+            ),
+            ("csv", lambda r: r.update(edges="x"), "report key 'edges' must be a list"),
+            (
+                "json",
+                lambda r: r["variables"][2].update(parent=None),
+                "variables[2]: completeness variable 'lab_value__observed' needs",
+            ),
+            (
+                "csv",
+                lambda r: r.update(mnar_findings=[{"variable": 3}]),
+                "missing mnar_findings[0] keys",
+            ),
+            (
+                "dot",
+                lambda r: r["mnar_findings"][0].update(witnesses="w"),
+                "'witnesses' must be a list",
+            ),
+            ("csv", lambda r: r.update(meta=[]), "'meta' must be an object"),
         ],
         ids=[
             "arc_without_sign",
@@ -947,10 +980,19 @@ class TestExport:
             "arcs_number",
             "variables_numbers",
             "arcs_number_json",
+            "rho_text_csv",
+            "rho_text_json",
+            "p_null_json",
+            "variables_without_kind",
+            "edges_text",
+            "indicator_without_parent",
+            "finding_number_variable",
+            "witnesses_text",
+            "meta_list",
         ],
     )
     def test_malformed_report_is_config_error(
-        self, fmt, damage, mnar_run, tmp_path, capsys
+        self, fmt, damage, field, mnar_run, tmp_path, capsys
     ):
         report = json.loads(self.report_path(mnar_run).read_text())
         damage(report)
@@ -962,8 +1004,9 @@ class TestExport:
         lines = err.strip().splitlines()
         assert len(lines) == 1
         payload = json.loads(lines[0])
-        assert payload["kind"] == "config"
-        assert "is not a valid report" in payload["message"]
+        assert (payload["kind"], payload["stage"]) == ("config", "export")
+        assert f"report {path} is not a valid report: " in payload["message"]
+        assert field in payload["message"]
 
     def test_unknown_format_is_usage_error(self, mnar_run, capsys):
         result = run(

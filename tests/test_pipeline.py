@@ -1,4 +1,5 @@
-from dataclasses import fields, replace
+import json
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from missgraph import (
     DegenerateColumnError,
     MechanismSpec,
     MissingnessArc,
+    MnarFinding,
     ProfileRow,
     UnimputableColumnError,
     VariableMeta,
@@ -30,7 +32,7 @@ from missgraph import (
     split_seed,
 )
 from missgraph.pipeline import RIC_STREAM
-from missgraph.report import ARC_FIELDS, json_record, read_dataclass
+from missgraph.report import AnalysisReport, json_record, read_dataclass
 
 CONFIG = AnalysisConfig(n_imputations=4, seed=9, n_rotations=5)
 # a and b are imputed (each gets an indicator), c is fully observed.
@@ -56,7 +58,7 @@ def test_one_permutation_null_per_analysis(monkeypatch):
     monkeypatch.setattr(missgraph.pipeline, "select_lambda_ric", counting)
     result = analyze_dataset(DATASET, CONFIG)
     assert len(calls) == 1
-    assert len(result.lambdas) == CONFIG.n_imputations
+    assert len(result.report.lambdas) == CONFIG.n_imputations
 
 
 def test_every_member_uses_member_one_lambda():
@@ -69,7 +71,7 @@ def test_every_member_uses_member_one_lambda():
         split_seed(member_seed, RIC_STREAM),
     )
     result = analyze_dataset(DATASET, CONFIG)
-    assert result.lambdas == [expected] * CONFIG.n_imputations
+    assert result.report.lambdas == [expected] * CONFIG.n_imputations
 
 
 def test_constant_observed_column_fails_before_imputation(monkeypatch):
@@ -138,7 +140,7 @@ def test_variables_sharing_a_missingness_mask():
     augmented = make_completeness_indicators(shared)
     np.testing.assert_array_equal(*augmented.indicator_values.T)
     result = analyze_dataset(shared, CONFIG)
-    assert len(result.lambdas) == CONFIG.n_imputations
+    assert len(result.report.lambdas) == CONFIG.n_imputations
 
 
 def test_members_start_from_member_one_and_match_a_cold_fit(monkeypatch):
@@ -174,7 +176,7 @@ def test_fully_observed_table_has_no_imputed_columns():
         mask=np.ones((50, 2), dtype=bool),
     )
     result = analyze_dataset(dataset, AnalysisConfig(n_imputations=2, n_rotations=3))
-    assert len(set(result.lambdas)) == 1
+    assert len(set(result.report.lambdas)) == 1
     assert result.report.warnings == [missgraph.pipeline.NO_INDICATOR_WARNING]
 
 
@@ -205,25 +207,34 @@ def test_run_analysis_needs_input_and_out(name, match, tmp_path):
 
 
 def test_report_arcs_are_the_arc_records_by_field():
-    assert len(ARC_FIELDS) == len(fields(MissingnessArc))
-    result = analyze_dataset(DATASET, CONFIG)
-    assert result.arcs
-    assert result.report.arcs == [
-        dict(zip(ARC_FIELDS, json_record(arc).values())) for arc in result.arcs
+    report = analyze_dataset(DATASET, CONFIG).report
+    assert report.arcs
+    assert all(isinstance(arc, MissingnessArc) for arc in report.arcs)
+    written = json.loads(report.to_json())["arcs"]
+    assert written == [json_record(arc) for arc in report.arcs]
+    assert list(written[0]) == [
+        "obs_var",
+        "comp_var",
+        "rho",
+        "p",
+        "sign",
+        "counterpart_rho",
+        "counterpart_p",
     ]
-    # The report key of each public attribute, spelled out once here.
-    attributes = {
-        "obs_var": "observation_var",
-        "comp_var": "completeness_var",
-        "rho": "pooled_rho",
-        "p": "p_value",
-        "sign": "sign",
-        "counterpart_rho": "counterpart_rho",
-        "counterpart_p": "counterpart_p",
-    }
-    for reported, arc in zip(result.report.arcs, result.arcs):
-        assert list(reported) == list(attributes)
-        assert reported == {k: getattr(arc, a) for k, a in attributes.items()}
+
+
+def test_report_round_trips_through_read_dataclass():
+    dataset, _ = simulate_dataset(
+        np.linalg.inv([[1.0, 0.6], [0.6, 1.0]]),
+        4000,
+        ["a", "w"],
+        [MechanismSpec(kind="MNAR", target="a", rate=0.3, slope=1.5)],
+        seed=5,
+    )
+    report = analyze_dataset(dataset, replace(CONFIG, n_imputations=5)).report
+    assert report.mnar_findings[0].witnesses == ("w",)
+    text = report.to_json()
+    assert read_dataclass(AnalysisReport, json.loads(text), "report") == report
 
 
 def test_json_record_inverts_read_dataclass():
@@ -248,6 +259,18 @@ def test_json_record_inverts_read_dataclass():
     ]
     for spec in specs:
         assert read_dataclass(MechanismSpec, json_record(spec), "mechanism") == spec
+    finding = MnarFinding(
+        variable="a", self_arc_rho=0.1, self_arc_p=1e-5, witnesses=("b", "c")
+    )
+    assert read_dataclass(MnarFinding, json_record(finding), "finding") == finding
+
+    @dataclass
+    class Bare:
+        meta: dict
+        items: list
+
+    bare = Bare(meta={"a": [1, None]}, items=[1, "x"])
+    assert read_dataclass(Bare, json_record(bare), "record") == bare
 
 
 def test_json_record_of_a_named_tuple():

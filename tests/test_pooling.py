@@ -202,8 +202,8 @@ class TestArcExtraction:
         arcs = extract_missingness_arcs(table, alpha=0.01)
         assert len(arcs) == 1
         arc = arcs[0]
-        assert arc.observation_var == "z"
-        assert arc.completeness_var == indicator_name("a")
+        assert arc.obs_var == "z"
+        assert arc.comp_var == indicator_name("a")
         assert arc.sign == "positive"
         assert arc.counterpart_rho == pytest.approx(0.5)
         assert arc.counterpart_p == pytest.approx(
@@ -231,8 +231,8 @@ class TestArcExtraction:
         rho[1, 2] = rho[2, 1] = 0.3
         table = table_from_rho(rho)
         arcs = extract_missingness_arcs(table, alpha=0.01)
-        assert [a.observation_var for a in arcs] == ["z", "a"]
-        assert arcs[0].p_value <= arcs[1].p_value
+        assert [a.obs_var for a in arcs] == ["z", "a"]
+        assert arcs[0].p <= arcs[1].p
 
     def test_alpha_contract(self):
         table = table_from_rho(np.eye(3))
@@ -262,14 +262,14 @@ class TestArcExtraction:
             return math.erfc(abs(math.atanh(r)) * math.sqrt((n - 5) / 2))
 
         arcs = extract_missingness_arcs(table, alpha=0.01)
-        assert [(a.observation_var, a.completeness_var) for a in arcs] == [
+        assert [(a.obs_var, a.comp_var) for a in arcs] == [
             ("z", indicator_name("a")),
             ("a", indicator_name("z")),
             ("a", indicator_name("a")),
         ]
         for arc, r, counterpart in zip(arcs, [0.3, 0.2, 0.15], [0.4, 0.4, None]):
-            assert arc.pooled_rho == pytest.approx(r, abs=1e-15)
-            assert arc.p_value == pytest.approx(p_of(r), rel=1e-9)
+            assert arc.rho == pytest.approx(r, abs=1e-15)
+            assert arc.p == pytest.approx(p_of(r), rel=1e-9)
             assert arc.counterpart_rho == (
                 None if counterpart is None else pytest.approx(counterpart)
             )
@@ -325,7 +325,7 @@ class TestSimulatedMechanisms:
             prec, n=4000, names=["a", "z", "w"], specs=[spec], seed=99
         )
         result = analyze_dataset(ds, AnalysisConfig(n_imputations=5, seed=4))
-        pairs = {(a.observation_var, a.completeness_var) for a in result.arcs}
+        pairs = {(a.obs_var, a.comp_var) for a in result.report.arcs}
         assert ("z", indicator_name("a")) in pairs
 
     def test_mnar_self_arc_recovered_and_forwarded(self):
@@ -335,6 +335,6 @@ class TestSimulatedMechanisms:
             np.linalg.inv(cov), n=4000, names=["a", "w"], specs=[spec], seed=5
         )
         result = analyze_dataset(ds, AnalysisConfig(n_imputations=5, seed=4))
-        pairs = {(a.observation_var, a.completeness_var) for a in result.arcs}
+        pairs = {(a.obs_var, a.comp_var) for a in result.report.arcs}
         assert ("a", indicator_name("a")) in pairs
-        assert any(f.variable == "a" and "w" in f.witnesses for f in result.findings)
+        assert any(f.variable == "a" and "w" in f.witnesses for f in result.report.mnar_findings)

@@ -11,6 +11,8 @@ from missgraph import (
     ContractError,
     MechanismKind,
     MechanismSpec,
+    VarKind,
+    VariableMeta,
     ar1_precision,
     generate_gaussian,
     indicator_name,
@@ -294,14 +296,13 @@ class TestBenchmark:
             seed=1,
         )
         arcs = [
-            SimpleNamespace(observation_var=v, completeness_var="a__observed")
-            for v in ("a", "w", "z")
+            SimpleNamespace(obs_var=v, comp_var="a__observed") for v in ("a", "w", "z")
         ]
-        variables = [{"kind": "Observation"}] * 3 + [{"kind": "Completeness"}]
+        variables = [VariableMeta(name=v) for v in ("a", "w", "z")] + [
+            VariableMeta(name="a__observed", kind=VarKind.COMPLETENESS, parent="a")
+        ]
         result = SimpleNamespace(
-            arcs=arcs,
-            findings=[],
-            report=SimpleNamespace(variables=variables),
+            report=SimpleNamespace(variables=variables, arcs=arcs, mnar_findings=[])
         )
         monkeypatch.setattr(
             missgraph.simulate, "analyze_dataset", lambda dataset, config: result
