@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import json
 import math
 from contextlib import suppress
@@ -27,6 +28,11 @@ DEFAULT_NA_TOKENS = frozenset({"", "NA", "NaN", "null"})
 
 #: Cell text the CSV writers put at a missing cell.
 NA_TOKEN = "NA"
+
+# parse_csv reads a missing cell as this NaN, whose payload float() never
+# returns, so one pass over the parsed array tells it from a "nan" text.
+_NA_BITS = 0x7FF8_0000_0000_0A0A
+_NA = np.array([_NA_BITS], dtype=np.uint64).view(float)[0].item()
 
 
 class Category(str, enum.Enum):
@@ -144,7 +150,7 @@ def read_json(path: str | Path, what: str, error: type[MissgraphError] = ConfigE
         return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer over the digit limit, or not UTF-8
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -210,29 +216,56 @@ def parse_csv(
         rows: list[list[float]] = []
         for row_no, row in enumerate(reader, start=2):  # header is line 1
             if len(row) != n_cols:
+                _parsed_values(path, header, rows)  # an earlier bad cell comes first
                 raise ParseError(
                     f"{path}: row {row_no} has {len(row)} cells, expected {n_cols}"
                 )
-            parsed = []
-            for j, cell in enumerate(row):
-                try:
-                    parsed.append(_parse_cell(cell, na))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {header[j]!r}: "
-                        f"cannot parse {cell!r} as a finite number"
-                    ) from None
-            rows.append(parsed)
+            try:
+                rows.append([_NA if (t := c.strip()) in na else float(t) for c in row])
+            except ValueError:
+                _parsed_values(path, header, rows)
+                for col, cell in zip(header, row):
+                    try:
+                        _parse_cell(cell, na)
+                    except ValueError:
+                        raise ParseError(_cell_error(path, row_no, col, cell)) from None
     if not rows:
         raise ParseError(f"{path}: no data rows below the header")
-    values = np.array(rows, dtype=float)
-    mask = ~np.isnan(values)
+    values, mask = _parsed_values(path, header, rows)
     schema = schema or {}
     metas = tuple(
         VariableMeta(name=name, category=schema.get(name, Category.OTHER))
         for name in header
     )
     return Dataset(metas=metas, values=values, mask=mask)
+
+
+def _cell_error(path: Path, row_no: int, column: str, cell: str) -> str:
+    return (
+        f"{path}: row {row_no}, column {column!r}: "
+        f"cannot parse {cell!r} as a finite number"
+    )
+
+
+def _parsed_values(path: Path, header: list[str], rows: list[list[float]]):
+    """Values (NaN at missing cells) and observation mask of the parsed data
+    rows; ParseError at the first non-finite observed cell in file order."""
+    values = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    mask = values.view(np.uint64) != _NA_BITS
+    bad = np.flatnonzero(mask & ~np.isfinite(values))
+    if bad.size:
+        i, j = divmod(int(bad[0]), len(header))
+        cell = _cell_text(path, i + 1, j)
+        raise ParseError(_cell_error(path, i + 2, header[j], cell))
+    values[~mask] = np.nan
+    return values, mask
+
+
+def _cell_text(path: Path, record: int, column: int) -> str:
+    """Text of cell ``column`` of CSV record ``record`` (the header is 0),
+    read again for an error message."""
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        return next(itertools.islice(csv.reader(handle), record, None))[column]
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:

@@ -8,6 +8,20 @@ reproduces a report exactly.  All volatile run information (wall-clock
 timestamp, elapsed seconds) lives under ``meta["runtime"]``; everything else
 is a pure function of config and seed, which is what makes repeated runs
 byte-comparable.
+
+``AnalysisReport.to_json`` writes exactly the text of
+``json.dumps(json_record(report), indent=2, ensure_ascii=False) + "\\n"``,
+and ``render_graph_json`` that of its graph, without the per-value Python
+encoder that ``indent`` selects.  A list of flat records, whose class's type
+hints make every field a JSON scalar (a string, a number, a bool, an enum
+deriving from one of these, or one of these or None), is written in one
+pass: every field value of the list is encoded in one call of the C encoder
+with a NUL between values, the result is split on NUL, and the pieces fill an
+indent-2 template of the record class.  The split is exact because the
+encoder escapes every control character inside a string, so a raw NUL is
+only ever a separator.  Every other member goes through
+``json.dumps(..., indent=2)`` and is indented by two more spaces, which is
+exact because encoded JSON holds no raw newline.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ import enum
 import functools
 import io
 import json
+import operator
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -101,17 +116,11 @@ def read_dataclass(cls, values, what: str = "config"):
     """
     if not isinstance(values, dict):
         raise ConfigError(f"{what} must be a JSON object, got {values!r}")
-    hints = _type_hints(cls)
-    unknown = sorted(set(values) - set(hints))
+    hints, required = _record_plan(cls)
+    unknown = sorted(values.keys() - hints.keys())
     if unknown:
         raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
-    missing = [
-        f.name
-        for f in fields(cls)
-        if f.name not in values
-        and f.default is MISSING
-        and f.default_factory is MISSING
-    ]
+    missing = [name for name in required if name not in values]
     if missing:
         raise ConfigError(f"missing {what} keys: {', '.join(missing)}")
     kwargs = {k: _coerce(k, hints[k], v, what) for k, v in values.items()}
@@ -122,9 +131,37 @@ def read_dataclass(cls, values, what: str = "config"):
 
 
 @functools.cache
-def _type_hints(cls) -> dict:
-    """Field types of ``cls``, resolved once: a report holds thousands of edges."""
-    return typing.get_type_hints(cls)
+def _record_plan(cls) -> tuple[dict, tuple[str, ...]]:
+    """Field types of ``cls`` and the names of its fields without a default,
+    worked out once: a report holds thousands of edges."""
+    required = tuple(
+        f.name
+        for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING
+    )
+    return typing.get_type_hints(cls), required
+
+
+def _options(hint) -> tuple[bool, list]:
+    """Whether field type ``hint`` admits None, and its other options."""
+    union = typing.get_origin(hint) is types.UnionType
+    options = typing.get_args(hint) if union else (hint,)
+    return type(None) in options, [o for o in options if o is not type(None)]
+
+
+@functools.cache
+def _coerce_plan(hint) -> tuple[bool, tuple, str]:
+    """How ``_coerce`` reads a value of field type ``hint``, worked out once
+    per type: whether None is allowed, ``(kind, type arguments, JSON type
+    test, whether kind is a record)`` for each other option, and the
+    options' names for messages."""
+    nullable, options = _options(hint)
+    kinds = [typing.get_origin(o) or o for o in options]
+    readers = tuple(
+        (kind, typing.get_args(option), _json_type(kind)[0], is_dataclass(kind))
+        for option, kind in zip(options, kinds)
+    )
+    return nullable, readers, " or ".join(_json_type(k)[1] for k in kinds)
 
 
 def _coerce(name: str, hint, value, what: str):
@@ -133,27 +170,28 @@ def _coerce(name: str, hint, value, what: str):
     A ``list[X]``, ``tuple[X, ...]`` or ``dict[str, X]`` has its items read
     as ``X``; a bare ``list`` or ``dict`` is kept as parsed.
     """
-    union = typing.get_origin(hint) is types.UnionType
-    options = typing.get_args(hint) if union else (hint,)
-    if value is None and type(None) in options:
+    nullable, readers, described = _coerce_plan(hint)
+    if value is None and nullable:
         return None
-    options = [o for o in options if o is not type(None)]
-    kinds = [typing.get_origin(o) or o for o in options]
-    for option, kind in zip(options, kinds):
-        if _json_type(kind)[0](value):
+    for kind, args, test, record in readers:
+        if test(value):
             break
     else:
-        described = " or ".join(_json_type(k)[1] for k in kinds)
         raise ConfigError(f"{what} key {name!r} must be {described}, got {value!r}")
-    args = typing.get_args(option)
-    if is_dataclass(kind):
+    if record:
         return read_dataclass(kind, value, name)
     if kind is dict and args:
         return {k: _coerce(f"{name}.{k}", args[1], v, what) for k, v in value.items()}
     if kind in (list, tuple) and args:
         items = [_coerce(f"{name}[{i}]", args[0], v, what) for i, v in enumerate(value)]
         return items if kind is list else tuple(items)
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(
+            f"{what} key {name!r} must be a number within the float range,"
+            f" got {value!r}"
+        ) from None
 
 
 @dataclass
@@ -175,10 +213,77 @@ class AnalysisReport:
     mnar_findings: list[MnarFinding]
 
     def to_json(self) -> str:
-        return json.dumps(json_record(self), indent=2, ensure_ascii=False) + "\n"
+        return _dump_object((f.name, getattr(self, f.name)) for f in fields(self))
 
     def names(self, kind: VarKind) -> list[str]:
         return [v.name for v in self.variables if v.kind is kind]
+
+
+# Puts a NUL between the encoded values of a flat record list.  A string's
+# control characters come out escaped, so a raw NUL is only ever a separator.
+_SPLIT_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=("\0", ": "))
+_SCALARS = (str, int, float, bool)
+
+
+def _dump_object(members) -> str:
+    """``json.dumps(..., indent=2, ensure_ascii=False) + "\\n"`` of the JSON
+    form of an object given as ``(key, value)`` pairs; see the module
+    docstring."""
+    lines = [
+        f"  {json.dumps(key, ensure_ascii=False)}: {_dump_member(value)}"
+        for key, value in members
+    ]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _dump_member(value) -> str:
+    """Indent-2 text of a member value of a top-level object."""
+    if isinstance(value, list) and value:
+        cls = type(value[0])
+        plan = _flat_plan(cls)
+        if plan is not None and set(map(type, value)) == {cls}:
+            return _dump_flat(value, *plan)
+    text = json.dumps(_json_value(value), indent=2, ensure_ascii=False)
+    return text.replace("\n", "\n  ")
+
+
+@functools.cache
+def _flat_plan(cls) -> tuple[tuple[str, ...], str, list[str]] | None:
+    """The template of a record class whose every field is a JSON scalar.
+
+    Returns the field names, the text before a record's first value and the
+    texts after each of its values up to the next record's first; None for
+    any other class.  An enum counts as a scalar when it derives from one,
+    as ``Category`` derives from str: the encoder then writes its value.
+    """
+    if not is_dataclass(cls) or not fields(cls):
+        return None
+    names = tuple(f.name for f in fields(cls))
+    hints = _record_plan(cls)[0]
+    for name in names:
+        for kind in _options(hints[name])[1]:
+            enum_scalar = isinstance(kind, enum.EnumMeta) and issubclass(kind, _SCALARS)
+            if kind not in _SCALARS and not enum_scalar:
+                return None
+    keys = [f"\n      {json.dumps(name, ensure_ascii=False)}: " for name in names]
+    opening = "\n    {" + keys[0]
+    between = [f",{key}" for key in keys[1:]] + ["\n    }," + opening]
+    return names, opening, between
+
+
+def _dump_flat(records: list, names: tuple[str, ...], opening: str,
+               between: list[str]) -> str:
+    """Indent-2 text of a list of flat records of one class."""
+    k = len(names)
+    values = [None] * (len(records) * k)
+    for i, name in enumerate(names):
+        values[i::k] = map(operator.attrgetter(name), records)
+    parts = _SPLIT_ENCODER.encode(values)[1:-1].split("\0")
+    text = [None] * (2 * len(parts))
+    text[::2] = parts
+    text[1::2] = between * len(records)
+    text[-1] = "\n    }\n  ]"
+    return "[" + opening + "".join(text)
 
 
 def _dot_quote(name: str) -> str:
@@ -231,14 +336,11 @@ def _csv_cell(value) -> str:
 
 
 def render_graph_json(report: AnalysisReport) -> str:
-    payload = {
-        "nodes": {
-            "observation": report.names(VarKind.OBSERVATION),
-            "completeness": report.names(VarKind.COMPLETENESS),
-        },
-        "edges": [json_record(arc) for arc in report.arcs],
+    nodes = {
+        "observation": report.names(VarKind.OBSERVATION),
+        "completeness": report.names(VarKind.COMPLETENESS),
     }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return _dump_object([("nodes", nodes), ("edges", report.arcs)])
 
 
 EXPORT_FORMATS = {"dot": render_dot, "json": render_graph_json, "csv": render_arcs_csv}

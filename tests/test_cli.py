@@ -408,6 +408,7 @@ class TestExitCodes:
             {"na_tokens": "NA"},
             {"seed": 1.7},
             {"lambda_method": "ric"},
+            {"lambda_value": 10**400},
         ],
         ids=lambda entry: next(iter(entry)),
     )
@@ -496,6 +497,7 @@ class TestExitCodes:
             ("spec", "not json"),
             ("report", "{"),
             ("outdir", None),
+            ("config", '{"alpha": 1' + "0" * 5000 + "}"),
         ],
         ids=[
             "missing_config",
@@ -504,6 +506,7 @@ class TestExitCodes:
             "spec_not_json",
             "report_not_json",
             "no_outdir",
+            "config_int_beyond_digit_limit",
         ],
     )
     def test_unusable_json_file_is_config_error(
@@ -754,6 +757,9 @@ class TestSimulate:
         "unknown_category": {"categories": {"a": "Lab"}},
         "mechanism_not_object": {"mechanisms": [5]},
         "rate_string": {"mechanisms": [{"kind": "MCAR", "target": "a", "rate": "0.3"}]},
+        "rate_beyond_float": {
+            "mechanisms": [{"kind": "MCAR", "target": "a", "rate": 10**400}]
+        },
         "mechanism_typo": {
             "mechanisms": [{"kind": "MNAR", "target": "a", "rate": 0.3, "sloep": 1.5}]
         },
@@ -973,6 +979,11 @@ class TestExport:
                 "'witnesses' must be a list",
             ),
             ("csv", lambda r: r.update(meta=[]), "'meta' must be an object"),
+            (
+                "json",
+                lambda r: r["arcs"][0].update(rho=10**400),
+                "arcs[0] key 'rho' must be a number within the float range",
+            ),
         ],
         ids=[
             "arc_without_sign",
@@ -989,6 +1000,7 @@ class TestExport:
             "finding_number_variable",
             "witnesses_text",
             "meta_list",
+            "rho_beyond_float",
         ],
     )
     def test_malformed_report_is_config_error(

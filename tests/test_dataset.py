@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from missgraph import (
     parse_csv,
     write_csv,
 )
-from missgraph.dataset import write_outputs
+from missgraph.dataset import DEFAULT_NA_TOKENS, write_outputs
 
 from .conftest import make_dataset
 
@@ -141,6 +144,79 @@ class TestParseCsv:
             schema.write_text(content)
         with pytest.raises(SchemaError, match=match):
             load_schema(schema)
+
+
+def reference_parse(path, na_tokens=DEFAULT_NA_TOKENS):
+    """Values of a CSV read cell by cell in file order: a stripped NA token is
+    NaN, any other cell must be a finite float; errors as parse_csv's."""
+    na = frozenset(na_tokens)
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = [h.strip() for h in next(reader)]
+        rows = []
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+                )
+            parsed = []
+            for name, cell in zip(header, row):
+                trimmed = cell.strip()
+                if trimmed in na:
+                    parsed.append(math.nan)
+                    continue
+                try:
+                    value = float(trimmed)
+                except ValueError:
+                    value = math.inf
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: row {row_no}, column {name!r}: "
+                        f"cannot parse {cell!r} as a finite number"
+                    )
+                parsed.append(value)
+            rows.append(parsed)
+    return np.array(rows, dtype=float)
+
+
+class TestParseMatchesCellByCellReference:
+    CASES = {
+        "numbers_and_tokens": (
+            "a,b,c\n1, 2 ,NA\n,NaN,null\n-0.0,5e-324,1.7976931348623157e308\n", None
+        ),
+        "nan_text": ("a,b\n1,2\n3,nan\n", None),
+        "minus_inf_text": ("a,b\n1,-inf\n", None),
+        "overflow_text": ("a,b\n1,1e999\n", None),
+        "letters": ("a,b\n1,abc\n", None),
+        "padded_na": ("a,b\n1, NA \n2,3\n", None),
+        "float_na_token": ("a,b\n-999,2\n3,-999.0\n -999 ,nan\n", ["-999"]),
+        "non_finite_before_letters_in_row": ("a,b,c\n1,inf,abc\n", None),
+        "letters_before_non_finite_in_row": ("a,b,c\n1,abc,inf\n", None),
+        "non_finite_row_5_letters_row_10": (
+            "a,b\n" + "1,2\n" * 3 + "inf,2\n" + "1,2\n" * 4 + "1,abc\n", None
+        ),
+        "non_finite_row_5_ragged_row_10": (
+            "a,b\n" + "1,2\n" * 3 + "1, nan \n" + "1,2\n" * 4 + "1\n", None
+        ),
+        "non_finite_after_multiline_record": ('a,b\n"1\n",2\n3,-nan\n', None),
+        "ragged_before_letters": ("a,b\n1,2\n3\nabc,1\n", None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_values_and_errors_match(self, case, tmp_path):
+        text, na_tokens = self.CASES[case]
+        path = write(tmp_path, text)
+        kwargs = {} if na_tokens is None else {"na_tokens": na_tokens}
+        try:
+            expected = reference_parse(path, **kwargs)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as raised:
+                parse_csv(path, **kwargs)
+            assert str(raised.value) == str(exc)
+            return
+        ds = parse_csv(path, **kwargs)
+        np.testing.assert_array_equal(ds.values.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(ds.mask, ~np.isnan(expected))
 
 
 class TestRecords:
