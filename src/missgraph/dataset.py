@@ -14,10 +14,11 @@ import enum
 import itertools
 import json
 import math
+from array import array
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -111,7 +112,7 @@ class Dataset:
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         # Sentinel discipline: NaN exactly where masked-missing.
-        if not np.all(np.isnan(values[~mask])) or not np.all(np.isfinite(values[mask])):
+        if not (np.isnan(values) | mask).all() or not (np.isfinite(values) | ~mask).all():
             raise ValueError("masked cells must be NaN, observed cells finite")
         values.setflags(write=False)
         mask.setflags(write=False)
@@ -191,8 +192,9 @@ def parse_csv(
 
     Raises
     ------
-    ParseError for missing files, empty tables, ragged rows (with the row
-    number) and non-numeric cells (with row/column coordinates);
+    ParseError for missing files, text that is not UTF-8, empty tables,
+    ragged rows (with the row number) and non-numeric cells (with row/column
+    coordinates);
     SchemaError for duplicate header names and schema keys naming no column.
     """
     path = Path(path)
@@ -200,7 +202,7 @@ def parse_csv(
     if not path.is_file():
         raise ParseError(f"input file not found: {path}")
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
+        reader = _decoded(csv.reader(handle), path)
         try:
             header = next(reader)
         except StopIteration:
@@ -213,25 +215,30 @@ def parse_csv(
         if unknown:
             raise SchemaError(f"{path}: schema names no column: {', '.join(unknown)}")
         n_cols = len(header)
-        rows: list[list[float]] = []
-        for row_no, row in enumerate(reader, start=2):  # header is line 1
+        # The parsed cells, row after row, 8 bytes each (a missing cell is
+        # _NA), in one buffer that _parsed_values reads in place.  A live
+        # view of it forbids the next extend, so a diagnostic call keeps none.
+        cells = array("d")
+        row_no = 1  # the header
+        for row_no, row in enumerate(reader, start=2):
             if len(row) != n_cols:
-                _parsed_values(path, header, rows)  # an earlier bad cell comes first
+                # An earlier bad cell comes first.
+                _parsed_values(path, header, cells, row_no - 2)
                 raise ParseError(
                     f"{path}: row {row_no} has {len(row)} cells, expected {n_cols}"
                 )
             try:
-                rows.append([_NA if (t := c.strip()) in na else float(t) for c in row])
+                cells.extend([_NA if (t := c.strip()) in na else float(t) for c in row])
             except ValueError:
-                _parsed_values(path, header, rows)
+                _parsed_values(path, header, cells, row_no - 2)
                 for col, cell in zip(header, row):
                     try:
                         _parse_cell(cell, na)
                     except ValueError:
                         raise ParseError(_cell_error(path, row_no, col, cell)) from None
-    if not rows:
+    if row_no == 1:
         raise ParseError(f"{path}: no data rows below the header")
-    values, mask = _parsed_values(path, header, rows)
+    values, mask = _parsed_values(path, header, cells, row_no - 1)
     schema = schema or {}
     metas = tuple(
         VariableMeta(name=name, category=schema.get(name, Category.OTHER))
@@ -247,10 +254,19 @@ def _cell_error(path: Path, row_no: int, column: str, cell: str) -> str:
     )
 
 
-def _parsed_values(path: Path, header: list[str], rows: list[list[float]]):
-    """Values (NaN at missing cells) and observation mask of the parsed data
-    rows; ParseError at the first non-finite observed cell in file order."""
-    values = np.array(rows, dtype=float).reshape(len(rows), len(header))
+def _decoded(records: Iterator[list[str]], path: Path) -> Iterator[list[str]]:
+    """``records``; ParseError, naming ``path``, where its text is not UTF-8."""
+    try:
+        yield from records
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _parsed_values(path: Path, header: list[str], cells: array, n_rows: int):
+    """Values (NaN at missing cells) and observation mask of the first
+    ``n_rows`` parsed data rows, a view of ``cells``; ParseError at the first
+    non-finite observed cell in file order."""
+    values = np.frombuffer(cells, dtype=float).reshape(n_rows, len(header))
     mask = values.view(np.uint64) != _NA_BITS
     bad = np.flatnonzero(mask & ~np.isfinite(values))
     if bad.size:

@@ -33,6 +33,9 @@ one gather give the scores, and the row-wise mean and standard deviation
 reduce each column exactly as a 1-D column would.  A complete column is the
 case with no holes and no draws (:func:`nonparanormal_transform`), whose
 result, a :class:`TransformedMatrix`, is array-like: numpy reads its values.
+A complete matrix is labelled and transformed one block of columns at a time,
+so that beside its input and output it needs only the 128 KiB blocks of
+``_BLOCK_CELLS``, whatever its size.
 """
 
 from __future__ import annotations
@@ -47,9 +50,11 @@ from scipy import special
 from .errors import ContractError, DegenerateColumnError
 
 #: Columns are transformed in blocks of at most this many cells, so that each
-#: temporary array stays within 128 KiB.  Larger arrays are typically fresh
-#: memory mappings whose pages fault on first touch: one 2000 x 25 block took
-#: about 1,000 minor page faults per call, and the columns one at a time none.
+#: temporary array of the labelling sort and of the scores stays within 128
+#: KiB; a complete matrix builds its id tables one block at a time too.
+#: Larger arrays are typically fresh memory mappings whose pages fault on
+#: first touch: one 2000 x 25 block took about 1,000 minor page faults per
+#: call, and the columns one at a time none.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -102,10 +107,26 @@ def nonparanormal_transform(
     n, p = m.shape
     if not np.all(np.isfinite(m)):
         raise ContractError("matrix must be complete (impute first)")
+    _require_rows(n)
+    labels = names or [f"#{t}" for t in range(p)]
     values = np.empty((n, p))
-    no_draws = [np.empty(0, dtype=np.intp)] * p
-    FillRanks.of(m, names).transform(no_draws, values, np.arange(p))
+    # Exact block by block: a column's scores depend on its own ranks only.
+    width = _columns_per_block(n)
+    for lo in range(0, p, width):
+        hi = min(lo + width, p)
+        no_draws = [np.empty(0, dtype=np.intp)] * (hi - lo)
+        ranks = FillRanks.of(m[:, lo:hi], labels[lo:hi])
+        ranks.transform(no_draws, values, np.arange(lo, hi))
     return TransformedMatrix(values=values)
+
+
+def _require_rows(n: int) -> None:
+    if n < 8:
+        raise ContractError(f"need at least 8 rows to transform, got {n}")
+
+
+def _columns_per_block(n: int) -> int:
+    return max(1, _BLOCK_CELLS // n)
 
 
 @dataclass(frozen=True)
@@ -140,13 +161,12 @@ class FillRanks:
         distinct observed values.
         """
         n, q = columns.shape
-        if n < 8:
-            raise ContractError(f"need at least 8 rows to transform, got {n}")
+        _require_rows(n)
         in_hole = np.empty((q, n), dtype=bool)
         cell_ids = np.empty((q, n), dtype=np.intp)
         sizes = np.empty(q, dtype=np.intp)  # distinct observed values
         next_id = 0
-        width = max(1, _BLOCK_CELLS // n)
+        width = _columns_per_block(n)
         for lo in range(0, q, width):
             hi = min(lo + width, q)
             block = columns[:, lo:hi].T.copy()  # C-contiguous, holes overwritten
@@ -209,7 +229,7 @@ class FillRanks:
         first = np.cumsum(counts) - counts - self.column_starts
         # Twice the mid-rank is 2*first + count + 1; its table entry sits 2 lower.
         scores = normal_scores(n)[2 * first + counts - 1]
-        width = max(1, _BLOCK_CELLS // n)
+        width = _columns_per_block(n)
         for lo in range(0, q, width):
             hi = min(lo + width, q)
             g = scores.take(ids[lo:hi])

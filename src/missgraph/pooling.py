@@ -2,7 +2,9 @@
 
 Pooling is done in Fisher z-space: every member's partial correlation is
 mapped through atanh, the mean over members is taken, and the result is
-mapped back through tanh.  Significance uses the variance-stabilized z
+mapped back through tanh.  The atanh values are summed fit by fit into one
+p x p accumulator, in member order, as ``np.mean`` adds a stack of them, so no
+K x p x p stack is built.  Significance uses the variance-stabilized z
 statistic ``atanh(rho) * sqrt(n - (p_vars - 2) - 3)``, where ``p_vars - 2``
 counts the variables conditioned on.  Pairs linking an observation variable
 to a completeness indicator with p below the alpha threshold become arcs; an
@@ -133,13 +135,18 @@ def pool_partial_correlations(
     for f in fits[1:]:
         if f.p != p or f.n != n:
             raise ContractError("all fits must share variable set and n")
-    member = np.stack([f.partial_corr for f in fits])
+    # In member order, so that the result is fisher_pool's bit for bit.
+    z_sum = np.zeros((p, p))
+    support_count = np.zeros((p, p), dtype=int)
     off = ~np.eye(p, dtype=bool)
-    if np.any(np.abs(member[:, off]) >= 1.0):
-        raise ContractError("member partial correlations must satisfy |rho| < 1")
-    pooled = fisher_pool(member)
+    for f in fits:
+        if np.any(np.abs(f.partial_corr[off]) >= 1.0):
+            raise ContractError("member partial correlations must satisfy |rho| < 1")
+        with np.errstate(divide="ignore"):  # the unit diagonal
+            z_sum += np.arctanh(f.partial_corr)
+        support_count += f.support
+    pooled = np.tanh(z_sum / len(fits))
     np.fill_diagonal(pooled, 1.0)
-    support_count = np.sum([f.support for f in fits], axis=0).astype(int)
     if metas is None:
         metas = tuple(VariableMeta(name=f"var{i}") for i in range(p))
     return PooledEdgeTable(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,19 @@ def residual_partial_corr(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
     rx = x - z @ np.linalg.lstsq(z, x, rcond=None)[0]
     ry = y - z @ np.linalg.lstsq(z, y, rcond=None)[0]
     return float(np.corrcoef(rx, ry)[0, 1])
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory traced during it above the level
+    at its start, in bytes; tracemalloc sees numpy's array buffers too."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -452,6 +452,19 @@ class TestExitCodes:
         assert code == 3
         assert "'b'" in json.loads(err.strip().splitlines()[-1])["message"]
 
+    def test_csv_that_is_not_utf8_is_parse_error(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"a,b\n1,\xff\n")
+        code, out, err = run(
+            ["analyze", "--input", str(latin1), "--out", str(tmp_path / "o")], capsys
+        )
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["kind"], payload["stage"]) == ("parse", "parse")
+        assert f"{latin1}: not UTF-8" in payload["message"]
+
     def test_schema_key_naming_no_column_is_parse_error(self, tmp_path, capsys):
         schema = tmp_path / "schema.json"
         schema.write_text('{"lab_valu": "BloodTests"}')

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from missgraph import (
 )
 from missgraph.dataset import DEFAULT_NA_TOKENS, write_outputs
 
-from .conftest import make_dataset
+from .conftest import make_dataset, traced_peak
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -134,6 +135,30 @@ class TestParseCsv:
             load_schema(schema)
 
     @pytest.mark.parametrize(
+        "content", [b"a,\xff\n1,2\n", b"a,b\n1,\xff\n", b"a,b\n1,2\n\xe9,3\n"],
+        ids=["header", "first_row", "later_row"],
+    )
+    def test_text_that_is_not_utf8_rejected(self, tmp_path, content):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8")):
+            parse_csv(path)
+
+    def test_parse_needs_little_beyond_its_values(self, tmp_path, rng):
+        # A Python float per cell would take 7x values.nbytes.
+        cells = rng.normal(size=(2_000, 80))
+        missing = np.add.outer(np.arange(2_000), np.arange(80)) % 7 == 0
+        lines = [",".join(f"v{j}" for j in range(80))]
+        lines += [
+            ",".join("NA" if gap else repr(x) for x, gap in zip(row, gaps))
+            for row, gaps in zip(cells.tolist(), missing.tolist())
+        ]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        ds, peak = traced_peak(lambda: parse_csv(path))
+        np.testing.assert_array_equal(ds.mask, ~missing)
+        assert peak <= 3 * ds.values.nbytes
+
+    @pytest.mark.parametrize(
         "content, match",
         [(None, "cannot read"), ("{", "not valid JSON"), ('["hr"]', "JSON object")],
         ids=["missing", "invalid", "not_object"],
@@ -200,6 +225,9 @@ class TestParseMatchesCellByCellReference:
         ),
         "non_finite_after_multiline_record": ('a,b\n"1\n",2\n3,-nan\n', None),
         "ragged_before_letters": ("a,b\n1,2\n3\nabc,1\n", None),
+        "ragged_first_row": ("a,b\n1\n1,2\n", None),
+        "blank_line": ("a,b\n1,2\n\n3,4\n", None),
+        "blank_header_and_rows": ("\n\n\n", None),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

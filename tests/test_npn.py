@@ -23,6 +23,8 @@ from missgraph import (
 from missgraph.impute import hot_deck_draws
 from missgraph.npn import FillRanks, normal_scores
 
+from .conftest import traced_peak
+
 
 def transform_col(col):
     return nonparanormal_transform(np.asarray(col)[:, None]).values[:, 0]
@@ -63,7 +65,8 @@ def exactness_columns(n, rng):
     )
 
 
-@pytest.mark.parametrize("n", [8, 20_000])
+# n = 5,000 transforms the 5 columns in blocks of 3 and 2, and 20,000 one by one.
+@pytest.mark.parametrize("n", [8, 5_000, 20_000])
 def test_matches_rankdata_and_ppf_definition(n, rng):
     matrix = exactness_columns(n, rng)
     assert np.array_equal(
@@ -128,6 +131,13 @@ def test_matches_the_column_loop_bit_for_bit(n, one_column_blocks, rng, monkeypa
         np.testing.assert_array_equal(
             out.view(np.int64), column_loop_transform(np.asarray(columns)).view(np.int64)
         )
+
+
+def test_complete_matrix_needs_little_beyond_its_output(rng):
+    # The id tables of every column at once would take 10x the output.
+    matrix = rng.normal(size=(2_000, 80))
+    out, peak = traced_peak(lambda: nonparanormal_transform(matrix))
+    assert peak <= 2.5 * out.values.nbytes
 
 
 def test_normal_score_table_is_read_only():

@@ -24,7 +24,7 @@ from missgraph import (
 from missgraph.ggm import PrecisionFit
 from missgraph.simulate import MechanismSpec
 
-from .conftest import make_dataset
+from .conftest import make_dataset, traced_peak
 
 
 def pool_oracle(rhos):
@@ -96,6 +96,35 @@ class TestFisherPooling:
         ]
         table = pool_partial_correlations(fits)
         assert table.support_count[0, 1] == 1
+
+    @pytest.mark.parametrize("k, p", [(10, 105), (25, 41), (25, 5), (3, 7), (25, 2)])
+    def test_equals_fisher_pool_over_a_stack(self, k, p, rng):
+        fits = []
+        for _ in range(k):
+            rho = np.triu(rng.uniform(-0.95, 0.95, (p, p)), 1)
+            rho += rho.T
+            np.fill_diagonal(rho, 1.0)
+            rho[0, -1] = rho[-1, 0] = -0.0  # np.mean's sum of these is +0.0
+            fits.append(make_fit(rho, support=rng.random((p, p)) < 0.3))
+        table = pool_partial_correlations(fits)
+        expected = fisher_pool(np.stack([f.partial_corr for f in fits]))
+        np.fill_diagonal(expected, 1.0)
+        np.testing.assert_array_equal(
+            table.pooled_rho.view(np.uint64), expected.view(np.uint64)
+        )
+        np.testing.assert_array_equal(
+            table.support_count, np.sum([f.support for f in fits], axis=0)
+        )
+
+    def test_pools_in_a_few_matrices_of_memory(self, rng):
+        # A K x p x p stack and its atanh would take 75 such matrices.
+        p = 105
+        fits = [
+            make_fit(np.eye(p) + np.triu(rng.uniform(-0.1, 0.1, (p, p)), 1))
+            for _ in range(25)
+        ]
+        _, peak = traced_peak(lambda: pool_partial_correlations(fits))
+        assert peak <= 8 * p * p * 8
 
     def test_mismatched_fits_rejected(self):
         fits = two_var_fits([0.1]) + [make_fit(np.eye(3))]
