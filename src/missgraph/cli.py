@@ -144,7 +144,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     data = read_json(args.report, "report")
     try:
-        report = read_dataclass(AnalysisReport, data, "report")
+        report = read_dataclass(AnalysisReport, data, "report", defaults=False)
     except ConfigError as exc:
         raise ConfigError(f"report {args.report} is not a valid report: {exc}") from exc
     rendered = export_graph(report, args.format)

@@ -192,9 +192,9 @@ def parse_csv(
 
     Raises
     ------
-    ParseError for missing files, text that is not UTF-8, empty tables,
-    ragged rows (with the row number) and non-numeric cells (with row/column
-    coordinates);
+    ParseError for missing files, text that is not UTF-8, empty tables, a
+    blank header row, ragged rows (with the row number) and non-numeric
+    cells (with row/column coordinates);
     SchemaError for duplicate header names and schema keys naming no column.
     """
     path = Path(path)
@@ -207,6 +207,8 @@ def parse_csv(
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file, expected a header row") from None
+        if not header:  # a blank first line
+            raise ParseError(f"{path}: empty header row")
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})

@@ -6,8 +6,9 @@ rank-Gaussianized, fitted by the graphical lasso at one regularization level
 shared by all members, and de-biased, and the resulting partial correlations
 are Fisher-pooled across members before arcs are extracted.  A member is
 its hot-deck draws, positions in each column's observed cells: ``FillRanks``
-ranks its imputed columns from how often each observed value was drawn, and
-only ``--dump-members`` builds the filled matrix, from the same draws.
+ranks its imputed columns from how often each observed value was drawn.
+No filled member is kept: ``--dump-members`` draws each member again from
+its seed as its file is written, so at most one is held at a time.
 
 The level is ``lambda_value`` when given; otherwise the permutation
 criterion sets it once per analysis, on member 1.  That null keeps only the
@@ -30,7 +31,7 @@ edges, arcs, findings), and ``report.json_record`` writes each of them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -39,7 +40,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .augment import make_completeness_indicators
+from .augment import AugmentedDataset, make_completeness_indicators
 from .dataset import (
     DEFAULT_NA_TOKENS,
     Dataset,
@@ -113,11 +114,12 @@ class AnalysisConfig:
 
 @dataclass
 class AnalysisResult:
-    """In-memory companion of the JSON report, for library callers."""
+    """In-memory companion of the JSON report, for library callers.  No filled
+    member is kept; member k is drawn again from ``augmented`` and its seed."""
 
     report: AnalysisReport
     table: PooledEdgeTable
-    members: list[np.ndarray] = field(default_factory=list)
+    augmented: AugmentedDataset
 
 
 def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
@@ -135,16 +137,13 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
         raise ContractError("analysis needs at least 2 variables")
     names = augmented.names
 
-    # The rank transform works column by column, and only the hot-deck-filled
-    # columns differ between members: the indicators and the fully observed
-    # columns are transformed once, into the matrix every member reuses.  Each
-    # member writes its imputed columns into that matrix straight from its
-    # draws (FillRanks), whose labelling sort of those columns runs once, here.
+    # Only the hot-deck-filled columns differ between members: the indicators
+    # and the fully observed columns are rank-transformed once, into the
+    # column-major matrix every member reuses, and the member step ranks
+    # member k's draws into its imputed columns as whole contiguous columns
+    # (FillRanks, whose labelling sort runs once, here).
     imputed = augmented.imputed
     shared = np.setdiff1d(np.arange(len(names)), imputed)
-    # Column-major, so that each member's imputed columns are written as
-    # whole contiguous columns and the estimators' column-major copies of
-    # the matrix (ggm._correlation) are contiguous reads.
     with stage("transform"):
         transformed = np.empty((augmented.n_rows, len(names)), order="F")
         transformed[:, shared] = nonparanormal_transform(
@@ -161,31 +160,27 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
         ranks = FillRanks.of(
             augmented.values[:, imputed], [names[j] for j in imputed]
         )
-    fits = []
-    lambdas = []
-    # None: set by member 1's permutation null, then used for every member.
-    lam = None if config.lambda_value is None else float(config.lambda_value)
-    start = None  # member 1's estimate, inverted once, for members 2..K
-    members: list[np.ndarray] = []
-    for k in range(1, config.n_imputations + 1):
-        member_seed = split_seed(config.seed, k)
+
+    def rank_member(k: int) -> None:
         with stage("impute"):
-            draws = hot_deck_draws(augmented, member_seed)
-            if config.dump_members:
-                members.append(hot_deck_impute(augmented, draws))
+            draws = hot_deck_draws(augmented, split_seed(config.seed, k))
         with stage("transform"):
             ranks.transform(draws, transformed, imputed)
-        if lam is None:
-            with stage("select_lambda"):
-                lam = select_lambda_ric(
-                    transformed,
-                    n_rotations=config.n_rotations,
-                    seed=split_seed(member_seed, RIC_STREAM),
-                )
-        lambdas.append(lam)
+    rank_member(1)
+    lam = None if config.lambda_value is None else float(config.lambda_value)
+    if lam is None:  # the permutation null on member 1
+        with stage("select_lambda"):
+            lam = select_lambda_ric(
+                transformed,
+                n_rotations=config.n_rotations,
+                seed=split_seed(split_seed(config.seed, 1), RIC_STREAM),
+            )
+    with stage("fit"):
+        fits = [fit_precision(transformed, lam)]
+        start = WarmStart.of(fits[0].theta)  # for members 2..K
+    for k in range(2, config.n_imputations + 1):
+        rank_member(k)
         with stage("fit"):
-            if len(fits) == 1:
-                start = WarmStart.of(fits[0].theta)
             fits.append(fit_precision(transformed, lam, start=start))
     with stage("pool"):
         table = pool_partial_correlations(fits, metas)
@@ -199,12 +194,12 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
         missing_profile=missing_profile(dataset),
         excluded_constant=list(augmented.excluded_constant),
         warnings=warnings_list,
-        lambdas=lambdas,
+        lambdas=[lam] * config.n_imputations,
         edges=table.edges(),
         arcs=arcs,
         mnar_findings=findings,
     )
-    return AnalysisResult(report=report, table=table, members=members)
+    return AnalysisResult(report=report, table=table, augmented=augmented)
 
 
 def _meta(dataset: Dataset, config: AnalysisConfig, elapsed: float) -> dict:
@@ -252,6 +247,10 @@ def run_analysis(config: AnalysisConfig) -> tuple[AnalysisResult, list[Path]]:
     result = analyze_dataset(dataset, config)
     report = result.report
     names = result.table.names
+
+    def write_member(k: int, path: Path) -> None:  # one filled member at a time
+        draws = hot_deck_draws(result.augmented, split_seed(config.seed, k))
+        write_matrix_csv(hot_deck_impute(result.augmented, draws), names, path)
     return result, write_outputs(
         out,
         [
@@ -260,7 +259,8 @@ def run_analysis(config: AnalysisConfig) -> tuple[AnalysisResult, list[Path]]:
             ("graph.dot", render_dot(report)),
         ]
         + [
-            (f"member_{k:03d}.csv", partial(write_matrix_csv, member, names))
-            for k, member in enumerate(result.members, start=1)
+            (f"member_{k:03d}.csv", partial(write_member, k))
+            for k in range(1, config.n_imputations + 1)
+            if config.dump_members
         ],
     )

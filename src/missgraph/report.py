@@ -106,13 +106,16 @@ def _json_type(kind):
     return _JSON_TYPES[kind]
 
 
-def read_dataclass(cls, values, what: str = "config"):
+def read_dataclass(cls, values, what: str = "config", defaults: bool = True):
     """Build dataclass ``cls`` from a parsed JSON object keyed by field name.
 
     Each value must have its field's JSON type (``null`` only where the type
     allows None); a non-object, an unknown or missing key, a wrong type or a
     ValueError of the record's own checks is a ConfigError whose message
-    names ``what``.
+    names ``what``.  An absent key takes its field's default, unless
+    ``defaults`` is False, as for a report, whose writer ``json_record``
+    writes every key: then every key of ``cls`` and its nested records is
+    required.
     """
     if not isinstance(values, dict):
         raise ConfigError(f"{what} must be a JSON object, got {values!r}")
@@ -120,10 +123,10 @@ def read_dataclass(cls, values, what: str = "config"):
     unknown = sorted(values.keys() - hints.keys())
     if unknown:
         raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
-    missing = [name for name in required if name not in values]
+    missing = [name for name in (required if defaults else hints) if name not in values]
     if missing:
         raise ConfigError(f"missing {what} keys: {', '.join(missing)}")
-    kwargs = {k: _coerce(k, hints[k], v, what) for k, v in values.items()}
+    kwargs = {k: _coerce(k, hints[k], v, what, defaults) for k, v in values.items()}
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -164,7 +167,7 @@ def _coerce_plan(hint) -> tuple[bool, tuple, str]:
     return nullable, readers, " or ".join(_json_type(k)[1] for k in kinds)
 
 
-def _coerce(name: str, hint, value, what: str):
+def _coerce(name: str, hint, value, what: str, defaults: bool):
     """Check ``value`` against the JSON type of field ``name`` and convert it.
 
     A ``list[X]``, ``tuple[X, ...]`` or ``dict[str, X]`` has its items read
@@ -179,11 +182,17 @@ def _coerce(name: str, hint, value, what: str):
     else:
         raise ConfigError(f"{what} key {name!r} must be {described}, got {value!r}")
     if record:
-        return read_dataclass(kind, value, name)
+        return read_dataclass(kind, value, name, defaults)
     if kind is dict and args:
-        return {k: _coerce(f"{name}.{k}", args[1], v, what) for k, v in value.items()}
+        return {
+            k: _coerce(f"{name}.{k}", args[1], v, what, defaults)
+            for k, v in value.items()
+        }
     if kind in (list, tuple) and args:
-        items = [_coerce(f"{name}[{i}]", args[0], v, what) for i, v in enumerate(value)]
+        items = [
+            _coerce(f"{name}[{i}]", args[0], v, what, defaults)
+            for i, v in enumerate(value)
+        ]
         return items if kind is list else tuple(items)
     try:
         return kind(value)

@@ -465,6 +465,22 @@ class TestExitCodes:
         assert (payload["kind"], payload["stage"]) == ("parse", "parse")
         assert f"{latin1}: not UTF-8" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "content", ["\n1,2\n", "\n\n\n"], ids=["then_row", "blank_lines_only"]
+    )
+    def test_blank_header_is_parse_error(self, content, tmp_path, capsys):
+        data = tmp_path / "blank.csv"
+        data.write_text(content)
+        code, out, err = run(
+            ["analyze", "--input", str(data), "--out", str(tmp_path / "o")], capsys
+        )
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["kind"], payload["stage"]) == ("parse", "parse")
+        assert payload["message"] == f"{data}: empty header row"
+
     def test_schema_key_naming_no_column_is_parse_error(self, tmp_path, capsys):
         schema = tmp_path / "schema.json"
         schema.write_text('{"lab_valu": "BloodTests"}')
@@ -973,7 +989,12 @@ class TestExport:
             (
                 "dot",
                 lambda r: [v.pop("kind") for v in r["variables"]],
-                "variables[2]: observation variable 'lab_value__observed' cannot",
+                "missing variables[0] keys: kind",
+            ),
+            (
+                "csv",
+                lambda r: r["variables"][0].pop("kind"),
+                "missing variables[0] keys: kind",
             ),
             ("csv", lambda r: r.update(edges="x"), "report key 'edges' must be a list"),
             (
@@ -1008,6 +1029,7 @@ class TestExport:
             "rho_text_json",
             "p_null_json",
             "variables_without_kind",
+            "observation_without_kind",
             "edges_text",
             "indicator_without_parent",
             "finding_number_variable",

@@ -178,6 +178,8 @@ def reference_parse(path, na_tokens=DEFAULT_NA_TOKENS):
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = [h.strip() for h in next(reader)]
+        if not header:
+            raise ParseError(f"{path}: empty header row")
         rows = []
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -228,6 +230,7 @@ class TestParseMatchesCellByCellReference:
         "ragged_first_row": ("a,b\n1\n1,2\n", None),
         "blank_line": ("a,b\n1,2\n\n3,4\n", None),
         "blank_header_and_rows": ("\n\n\n", None),
+        "blank_header_then_row": ("\n1,2\n", None),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -26,11 +27,14 @@ from missgraph import (
     hot_deck_impute,
     make_completeness_indicators,
     nonparanormal_transform,
+    parse_csv,
     run_analysis,
     select_lambda_ric,
     simulate_dataset,
     split_seed,
+    write_csv,
 )
+from missgraph.dataset import write_matrix_csv
 from missgraph.pipeline import RIC_STREAM
 from missgraph.report import AnalysisReport, json_record, read_dataclass
 
@@ -204,6 +208,55 @@ def test_run_analysis_needs_input_and_out(name, match, tmp_path):
     with pytest.raises(ConfigError, match=match):
         run_analysis(replace(config, **{name: None}))
     assert not (tmp_path / "out").exists()
+
+
+def test_analysis_builds_no_filled_member(monkeypatch):
+    def no_fill(*args, **kwargs):
+        raise AssertionError("analyze_dataset built a filled member")
+
+    monkeypatch.setattr(missgraph.pipeline, "hot_deck_impute", no_fill)
+    analyze_dataset(DATASET, replace(CONFIG, dump_members=True))
+
+
+def dump_config(tmp_path, k):
+    write_csv(DATASET, tmp_path / "data.csv")
+    return replace(
+        CONFIG,
+        n_imputations=k,
+        input=tmp_path / "data.csv",
+        out=tmp_path / "out",
+        dump_members=True,
+    )
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_each_dumped_member_is_drawn_again_from_its_seed(k, tmp_path):
+    config = dump_config(tmp_path, k)
+    _, paths = run_analysis(config)
+    members = [path for path in paths if path.name.startswith("member_")]
+    assert [path.name for path in members] == [
+        f"member_{i:03d}.csv" for i in range(1, k + 1)
+    ]
+    a = make_completeness_indicators(parse_csv(config.input))
+    for i, path in enumerate(members, start=1):
+        member = hot_deck_impute(a, hot_deck_draws(a, split_seed(config.seed, i)))
+        write_matrix_csv(member, a.names, tmp_path / "expected.csv")
+        assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_dump_holds_one_filled_member_at_a_time(tmp_path, monkeypatch):
+    filled = []  # a weak reference to each member hot_deck_impute returned
+    alive = []  # how many of them were alive as each one was returned
+
+    def tracked(*args):
+        member = hot_deck_impute(*args)
+        filled.append(weakref.ref(member))
+        alive.append(sum(ref() is not None for ref in filled))
+        return member
+
+    monkeypatch.setattr(missgraph.pipeline, "hot_deck_impute", tracked)
+    run_analysis(dump_config(tmp_path, 4))
+    assert alive == [1, 1, 1, 1]
 
 
 def test_report_arcs_are_the_arc_records_by_field():
