@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import itertools
 import json
 import math
 from array import array
@@ -193,8 +192,8 @@ def parse_csv(
     Raises
     ------
     ParseError for missing files, text that is not UTF-8, empty tables, a
-    blank header row, ragged rows (with the row number) and non-numeric
-    cells (with row/column coordinates);
+    blank header row or cell, and the first ragged row (with its number) or
+    non-numeric cell (with row/column coordinates) in file order;
     SchemaError for duplicate header names and schema keys naming no column.
     """
     path = Path(path)
@@ -210,6 +209,8 @@ def parse_csv(
         if not header:  # a blank first line
             raise ParseError(f"{path}: empty header row")
         header = [h.strip() for h in header]
+        if "" in header:
+            raise ParseError(f"{path}: header cell {header.index('') + 1} is blank")
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise SchemaError(f"{path}: duplicate header name(s): {', '.join(dupes)}")
@@ -218,42 +219,30 @@ def parse_csv(
             raise SchemaError(f"{path}: schema names no column: {', '.join(unknown)}")
         n_cols = len(header)
         # The parsed cells, row after row, 8 bytes each (a missing cell is
-        # _NA), in one buffer that _parsed_values reads in place.  A live
-        # view of it forbids the next extend, so a diagnostic call keeps none.
+        # _NA), in one buffer.  A fault only stops the loop: _first_fault
+        # reads the file again to name the first one in file order.
         cells = array("d")
         row_no = 1  # the header
         for row_no, row in enumerate(reader, start=2):
             if len(row) != n_cols:
-                # An earlier bad cell comes first.
-                _parsed_values(path, header, cells, row_no - 2)
-                raise ParseError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {n_cols}"
-                )
+                raise ParseError(_first_fault(path, header, na))
             try:
                 cells.extend([_NA if (t := c.strip()) in na else float(t) for c in row])
             except ValueError:
-                _parsed_values(path, header, cells, row_no - 2)
-                for col, cell in zip(header, row):
-                    try:
-                        _parse_cell(cell, na)
-                    except ValueError:
-                        raise ParseError(_cell_error(path, row_no, col, cell)) from None
+                raise ParseError(_first_fault(path, header, na)) from None
     if row_no == 1:
         raise ParseError(f"{path}: no data rows below the header")
-    values, mask = _parsed_values(path, header, cells, row_no - 1)
+    values = np.frombuffer(cells, dtype=float).reshape(row_no - 1, n_cols)
+    mask = values.view(np.uint64) != _NA_BITS
+    if (mask & ~np.isfinite(values)).any():
+        raise ParseError(_first_fault(path, header, na))
+    values[~mask] = np.nan
     schema = schema or {}
     metas = tuple(
         VariableMeta(name=name, category=schema.get(name, Category.OTHER))
         for name in header
     )
     return Dataset(metas=metas, values=values, mask=mask)
-
-
-def _cell_error(path: Path, row_no: int, column: str, cell: str) -> str:
-    return (
-        f"{path}: row {row_no}, column {column!r}: "
-        f"cannot parse {cell!r} as a finite number"
-    )
 
 
 def _decoded(records: Iterator[list[str]], path: Path) -> Iterator[list[str]]:
@@ -264,26 +253,28 @@ def _decoded(records: Iterator[list[str]], path: Path) -> Iterator[list[str]]:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _parsed_values(path: Path, header: list[str], cells: array, n_rows: int):
-    """Values (NaN at missing cells) and observation mask of the first
-    ``n_rows`` parsed data rows, a view of ``cells``; ParseError at the first
-    non-finite observed cell in file order."""
-    values = np.frombuffer(cells, dtype=float).reshape(n_rows, len(header))
-    mask = values.view(np.uint64) != _NA_BITS
-    bad = np.flatnonzero(mask & ~np.isfinite(values))
-    if bad.size:
-        i, j = divmod(int(bad[0]), len(header))
-        cell = _cell_text(path, i + 1, j)
-        raise ParseError(_cell_error(path, i + 2, header[j], cell))
-    values[~mask] = np.nan
-    return values, mask
-
-
-def _cell_text(path: Path, record: int, column: int) -> str:
-    """Text of cell ``column`` of CSV record ``record`` (the header is 0),
-    read again for an error message."""
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        return next(itertools.islice(csv.reader(handle), record, None))[column]
+def _first_fault(path: Path, header: list[str], na: frozenset[str]) -> str:
+    """Message of the first fault in the data rows of ``path``, read again: a
+    record of the wrong length (before its cells), a cell that
+    :func:`_parse_cell` rejects, or else that the file changed since."""
+    with suppress(OSError), path.open(newline="", encoding="utf-8-sig") as handle:
+        records = _decoded(csv.reader(handle), path)
+        next(records, None)  # the header
+        for row_no, row in enumerate(records, start=2):
+            if len(row) != len(header):
+                return (
+                    f"{path}: row {row_no} has {len(row)} cells,"
+                    f" expected {len(header)}"
+                )
+            for column, cell in zip(header, row):
+                try:
+                    _parse_cell(cell, na)
+                except ValueError:
+                    return (
+                        f"{path}: row {row_no}, column {column!r}: "
+                        f"cannot parse {cell!r} as a finite number"
+                    )
+    return f"{path}: changed while it was being read"
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:

@@ -22,7 +22,10 @@ from .augment import AugmentedDataset
 from .errors import UnimputableColumnError
 
 SEED_SPLIT_CONSTANT = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
+#: Master seeds lie in [0, SEED_LIMIT): split_seed reads its seed modulo
+#: 2**64, so one outside would alias the seed inside with the same low bits.
+SEED_LIMIT = 1 << 64
+_MASK64 = SEED_LIMIT - 1
 
 
 def split_seed(master_seed: int, k: int) -> int:

@@ -56,7 +56,7 @@ from .errors import (
     stage,
 )
 from .ggm import WarmStart, fit_precision, select_lambda_ric
-from .impute import hot_deck_draws, hot_deck_impute, split_seed
+from .impute import SEED_LIMIT, hot_deck_draws, hot_deck_impute, split_seed
 from .npn import FillRanks, nonparanormal_transform
 from .pooling import (
     PooledEdgeTable,
@@ -103,6 +103,8 @@ class AnalysisConfig:
             )
         if self.n_rotations < 1:
             raise ConfigError(f"n_rotations must be >= 1, got {self.n_rotations}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must be inside [0, 2**64), got {self.seed}")
 
     def to_dict(self) -> dict:
         """JSON form of every field but ``out``, so that reports written to

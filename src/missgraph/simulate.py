@@ -26,7 +26,7 @@ from .augment import indicator_name
 from .dataset import Category, Dataset, VariableMeta, VarKind
 from .errors import ConfigError, ContractError, MissgraphError
 from .ggm import positive_definite
-from .impute import split_seed
+from .impute import SEED_LIMIT, split_seed
 from .pipeline import AnalysisConfig, analyze_dataset
 from .report import json_record, read_dataclass
 
@@ -249,6 +249,8 @@ def simulate_dataset(
     names = tuple(names)
     if n < 1:
         raise ContractError(f"n must be >= 1, got {n}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ContractError(f"seed must be inside [0, 2**64), got {seed}")
     if len(set(names)) != len(names):
         raise ContractError("variable names must be unique")
     unknown = sorted(set(categories or {}) - set(names))

@@ -383,6 +383,27 @@ class TestExitCodes:
         assert "finite" in payload["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "65_bits"])
+    def test_seed_outside_64_bits_is_config_error(self, seed, tmp_path, capsys):
+        # split_seed reads a seed modulo 2**64: -1 would run as 2**64 - 1.
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            [
+                "analyze",
+                "--input", str(DATA / "mnar_example.csv"),
+                "--out", str(out),
+                "--seed", str(seed),
+            ],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["kind"] == "config"
+        assert payload["message"] == f"seed must be inside [0, 2**64), got {seed}"
+        assert not out.exists()
+
     def test_sweep_budget_is_convergence_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(missgraph.ggm, "MAX_SWEEPS", 1)
         code, _, err = run(
@@ -480,6 +501,22 @@ class TestExitCodes:
         payload = json.loads(lines[0])
         assert (payload["kind"], payload["stage"]) == ("parse", "parse")
         assert payload["message"] == f"{data}: empty header row"
+
+    @pytest.mark.parametrize(
+        "header, position", [("a, ,c", 2), ("a,b,", 3)], ids=["padded", "trailing"]
+    )
+    def test_blank_header_cell_is_parse_error(self, header, position, tmp_path, capsys):
+        data = tmp_path / "blank_cell.csv"
+        data.write_text(f"{header}\n1,2,3\n4,5,6\n")
+        code, out, err = run(
+            ["analyze", "--input", str(data), "--out", str(tmp_path / "o")], capsys
+        )
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["kind"], payload["stage"]) == ("parse", "parse")
+        assert payload["message"] == f"{data}: header cell {position} is blank"
 
     def test_schema_key_naming_no_column_is_parse_error(self, tmp_path, capsys):
         schema = tmp_path / "schema.json"
@@ -841,12 +878,15 @@ class TestSimulate:
             {"precision": [[float("inf"), 0.0], [0.0, 1.0]]},
             {"precision": [[1.0, float("nan")], [float("nan"), 1.0]]},
             {"precision": [[1e-320, 0.0], [0.0, 1.0]]},
+            {"seed": -1},
+            {"seed": 2**64},
         ],
         ids=[
             "n_zero", "n_negative", "duplicate_names", "ragged", "non_square",
             "negative_p", "rate_out_of_range", "unknown_category", "ar1_rho_one",
             "unknown_driver", "two_mechanisms_one_target", "negative_mechanism_seed",
             "infinite_precision", "nan_precision", "precision_inverse_overflows",
+            "negative_seed", "seed_of_65_bits",
         ],
     )
     def test_bad_spec_value_is_numeric_error(self, patch, tmp_path, capsys):

@@ -19,6 +19,7 @@ from missgraph import (
     parse_csv,
     write_csv,
 )
+from missgraph import dataset
 from missgraph.dataset import DEFAULT_NA_TOKENS, write_outputs
 
 from .conftest import make_dataset, traced_peak
@@ -80,6 +81,18 @@ class TestParseCsv:
         path = write(tmp_path, "a\ninf\n")
         with pytest.raises(ParseError, match="finite"):
             parse_csv(path)
+
+    @pytest.mark.parametrize(
+        "header, position",
+        [("a, ,c", 2), ("a,b,", 3), ("a,a, ", 3)],
+        ids=["padded_middle", "trailing_comma", "before_duplicates"],
+    )
+    def test_blank_header_cell_rejected(self, tmp_path, header, position):
+        path = write(tmp_path, f"{header}\n1,2,3\n")
+        with pytest.raises(ParseError) as raised:
+            parse_csv(path)
+        assert type(raised.value) is ParseError  # not the duplicates' SchemaError
+        assert str(raised.value) == f"{path}: header cell {position} is blank"
 
     def test_duplicate_header_is_schema_error(self, tmp_path):
         path = write(tmp_path, "a,a\n1,2\n")
@@ -206,6 +219,38 @@ def reference_parse(path, na_tokens=DEFAULT_NA_TOKENS):
     return np.array(rows, dtype=float)
 
 
+#: Faults injected into generated CSV texts, besides a ragged record:
+#: letters, non-finite numbers and a quoted cell that spans two lines.
+CELL_FAULTS = ["abc", "inf", "-inf", "nan", "1e999", '"1\n"']
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text of 1-4 columns and 1-6 records of finite numbers and NA
+    tokens, some padded with spaces, carrying 0-3 injected faults."""
+    n_cols = draw(st.integers(1, 4))
+    cell = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(sorted(DEFAULT_NA_TOKENS)),
+    )
+    pad = st.sampled_from(["", " ", "  "])
+    rows = [
+        [draw(pad) + draw(cell) + draw(pad) for _ in range(n_cols)]
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        fault = draw(st.sampled_from(["ragged"] + CELL_FAULTS))
+        if fault != "ragged" and row:
+            row[draw(st.integers(0, len(row) - 1))] = fault
+        elif row and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append("1")
+    header = ",".join(f"v{j}" for j in range(n_cols))
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
 class TestParseMatchesCellByCellReference:
     CASES = {
         "numbers_and_tokens": (
@@ -248,6 +293,41 @@ class TestParseMatchesCellByCellReference:
         ds = parse_csv(path, **kwargs)
         np.testing.assert_array_equal(ds.values.view(np.uint64), expected.view(np.uint64))
         np.testing.assert_array_equal(ds.mask, ~np.isnan(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=csv_texts())
+    def test_generated_texts_match(self, tmp_path_factory, text):
+        path = write(tmp_path_factory.mktemp("generated"), text)
+        try:
+            expected = reference_parse(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as raised:
+                parse_csv(path)
+            assert str(raised.value) == str(exc)
+            return
+        ds = parse_csv(path)
+        np.testing.assert_array_equal(ds.values.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(ds.mask, ~np.isnan(expected))
+
+    @pytest.mark.parametrize(
+        "rewritten", ["a,b\n1,2\n3,4\n", "a,b\n", None],
+        ids=["repaired", "truncated", "deleted"],
+    )
+    def test_file_changed_before_the_second_read(self, rewritten, tmp_path, monkeypatch):
+        path = write(tmp_path, "a,b\n1,2\n3,inf\n")
+        first_fault = dataset._first_fault
+
+        def change_then_read(*args):
+            if rewritten is None:
+                path.unlink()
+            else:
+                path.write_text(rewritten)
+            return first_fault(*args)
+
+        monkeypatch.setattr(dataset, "_first_fault", change_then_read)
+        with pytest.raises(ParseError) as raised:
+            parse_csv(path)
+        assert str(raised.value) == f"{path}: changed while it was being read"
 
 
 class TestRecords:
