@@ -191,9 +191,10 @@ def parse_csv(
 
     Raises
     ------
-    ParseError for missing files, text that is not UTF-8, empty tables, a
-    blank header row or cell, and the first ragged row (with its number) or
-    non-numeric cell (with row/column coordinates) in file order;
+    ParseError for missing files, text that is not UTF-8, a record the CSV
+    reader rejects (with its line), empty tables, a blank header row or
+    cell, and the first ragged row (with its number) or non-numeric cell
+    (with row/column coordinates) in file order;
     SchemaError for duplicate header names and schema keys naming no column.
     """
     path = Path(path)
@@ -246,11 +247,15 @@ def parse_csv(
 
 
 def _decoded(records: Iterator[list[str]], path: Path) -> Iterator[list[str]]:
-    """``records``; ParseError, naming ``path``, where its text is not UTF-8."""
+    """The records of the ``csv.reader`` ``records``; a ParseError naming
+    ``path`` where its text is not UTF-8, or, with the reader's line, where
+    the reader rejects a record (a cell over ``csv.field_size_limit()``)."""
     try:
         yield from records
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {records.line_num}: {exc}") from None
 
 
 def _first_fault(path: Path, header: list[str], na: frozenset[str]) -> str:

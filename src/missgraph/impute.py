@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .augment import AugmentedDataset
-from .errors import UnimputableColumnError
+from .errors import ContractError, UnimputableColumnError
 
 SEED_SPLIT_CONSTANT = 0x9E3779B97F4A7C15
 #: Master seeds lie in [0, SEED_LIMIT): split_seed reads its seed modulo
@@ -43,9 +43,13 @@ def hot_deck_draws(augmented: AugmentedDataset, seed: int) -> list[np.ndarray]:
 
     Raises
     ------
+    ContractError if ``seed`` lies outside [0, 2**64), the range of
+    :func:`split_seed`;
     UnimputableColumnError if a column has missing cells but nothing observed.
     """
-    rng = np.random.default_rng(int(seed) & _MASK64)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ContractError(f"seed must be inside [0, 2**64), got {seed}")
+    rng = np.random.default_rng(seed)
     draws = []
     for j, size in zip(augmented.imputed, augmented.pool_sizes):
         if size == 0:

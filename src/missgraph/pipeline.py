@@ -4,11 +4,7 @@ Stage order is fixed: completeness indicators are derived from the mask,
 missing cells are hot-deck imputed into K complete members, each member is
 rank-Gaussianized, fitted by the graphical lasso at one regularization level
 shared by all members, and de-biased, and the resulting partial correlations
-are Fisher-pooled across members before arcs are extracted.  A member is
-its hot-deck draws, positions in each column's observed cells: ``FillRanks``
-ranks its imputed columns from how often each observed value was drawn.
-No filled member is kept: ``--dump-members`` draws each member again from
-its seed as its file is written, so at most one is held at a time.
+are Fisher-pooled across members (``Ensemble``) before arcs are extracted.
 
 The level is ``lambda_value`` when given; otherwise the permutation
 criterion sets it once per analysis, on member 1.  That null keeps only the
@@ -55,7 +51,7 @@ from .errors import (
     UnimputableColumnError,
     stage,
 )
-from .ggm import WarmStart, fit_precision, select_lambda_ric
+from .ggm import PrecisionFit, WarmStart, fit_precision, select_lambda_ric
 from .impute import SEED_LIMIT, hot_deck_draws, hot_deck_impute, split_seed
 from .npn import FillRanks, nonparanormal_transform
 from .pooling import (
@@ -114,14 +110,73 @@ class AnalysisConfig:
         return record
 
 
+@dataclass(frozen=True)
+class Ensemble:
+    """The hot-deck members of one analysis and what they all share.
+
+    Member k (1-based) is its hot-deck draws from ``split_seed(seed, k)``,
+    positions in each column's observed cells.  Only the filled columns
+    differ between members: :meth:`of` rank-transforms the others once, into
+    the column-major ``matrix``, and :meth:`ranked` ranks member k's draws
+    into its imputed columns (``ranks``, whose labelling sort runs once, in
+    :meth:`of`).  No filled member is kept: :meth:`filled` draws member k
+    again, so ``--dump-members`` holds at most one at a time.
+    """
+
+    augmented: AugmentedDataset
+    seed: int
+    ranks: FillRanks
+    matrix: np.ndarray  # (n, p), column-major; the last member ranked
+
+    @classmethod
+    def of(cls, augmented: AugmentedDataset, seed: int) -> Ensemble:
+        names, imputed = augmented.names, augmented.imputed
+        shared = np.setdiff1d(np.arange(len(names)), imputed)
+        with stage("transform"):
+            matrix = np.empty((augmented.n_rows, len(names)), order="F")
+            matrix[:, shared] = nonparanormal_transform(
+                augmented.values[:, shared], [names[j] for j in shared]
+            )
+        # Hot-deck draws come only from a column's observed cells, so checking
+        # those once, before member 1, covers every member.  It comes before
+        # FillRanks.of, which would call a column with no observed cell constant.
+        with stage("impute"):
+            for j, size in zip(imputed, augmented.pool_sizes):
+                if size == 0:
+                    raise UnimputableColumnError(names[j])
+        with stage("transform"):
+            ranks = FillRanks.of(
+                augmented.values[:, imputed], [names[j] for j in imputed]
+            )
+        return cls(augmented, seed, ranks, matrix)
+
+    def draws(self, k: int) -> list[np.ndarray]:
+        return hot_deck_draws(self.augmented, split_seed(self.seed, k))
+
+    def ranked(self, k: int) -> np.ndarray:
+        """``matrix``, holding member k's ranks."""
+        with stage("impute"):
+            draws = self.draws(k)
+        with stage("transform"):
+            self.ranks.transform(draws, self.matrix, self.augmented.imputed)
+        return self.matrix
+
+    def fit(self, k: int, lam: float, start: WarmStart | None = None) -> PrecisionFit:
+        with stage("fit"):
+            return fit_precision(self.ranked(k), lam, start=start)
+
+    def filled(self, k: int) -> np.ndarray:
+        """Member k's complete matrix over the augmented variable set."""
+        return hot_deck_impute(self.augmented, self.draws(k))
+
+
 @dataclass
 class AnalysisResult:
-    """In-memory companion of the JSON report, for library callers.  No filled
-    member is kept; member k is drawn again from ``augmented`` and its seed."""
+    """In-memory companion of the JSON report, for library callers."""
 
     report: AnalysisReport
     table: PooledEdgeTable
-    augmented: AugmentedDataset
+    ensemble: Ensemble
 
 
 def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
@@ -137,53 +192,20 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     metas = augmented.metas
     if len(metas) < 2:
         raise ContractError("analysis needs at least 2 variables")
-    names = augmented.names
-
-    # Only the hot-deck-filled columns differ between members: the indicators
-    # and the fully observed columns are rank-transformed once, into the
-    # column-major matrix every member reuses, and the member step ranks
-    # member k's draws into its imputed columns as whole contiguous columns
-    # (FillRanks, whose labelling sort runs once, here).
-    imputed = augmented.imputed
-    shared = np.setdiff1d(np.arange(len(names)), imputed)
-    with stage("transform"):
-        transformed = np.empty((augmented.n_rows, len(names)), order="F")
-        transformed[:, shared] = nonparanormal_transform(
-            augmented.values[:, shared], [names[j] for j in shared]
-        )
-    # Hot-deck draws come only from a column's observed cells, so checking
-    # those once, before member 1, covers every member.  It comes before
-    # FillRanks.of, which would call a column with no observed cell constant.
-    with stage("impute"):
-        for j, size in zip(imputed, augmented.pool_sizes):
-            if size == 0:
-                raise UnimputableColumnError(names[j])
-    with stage("transform"):
-        ranks = FillRanks.of(
-            augmented.values[:, imputed], [names[j] for j in imputed]
-        )
-
-    def rank_member(k: int) -> None:
-        with stage("impute"):
-            draws = hot_deck_draws(augmented, split_seed(config.seed, k))
-        with stage("transform"):
-            ranks.transform(draws, transformed, imputed)
-    rank_member(1)
+    ensemble = Ensemble.of(augmented, config.seed)
+    member_1 = ensemble.ranked(1)
     lam = None if config.lambda_value is None else float(config.lambda_value)
     if lam is None:  # the permutation null on member 1
         with stage("select_lambda"):
             lam = select_lambda_ric(
-                transformed,
+                member_1,
                 n_rotations=config.n_rotations,
                 seed=split_seed(split_seed(config.seed, 1), RIC_STREAM),
             )
     with stage("fit"):
-        fits = [fit_precision(transformed, lam)]
+        fits = [fit_precision(member_1, lam)]
         start = WarmStart.of(fits[0].theta)  # for members 2..K
-    for k in range(2, config.n_imputations + 1):
-        rank_member(k)
-        with stage("fit"):
-            fits.append(fit_precision(transformed, lam, start=start))
+    fits += [ensemble.fit(k, lam, start) for k in range(2, config.n_imputations + 1)]
     with stage("pool"):
         table = pool_partial_correlations(fits, metas)
         table = edge_p_values(table)
@@ -201,7 +223,7 @@ def analyze_dataset(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
         arcs=arcs,
         mnar_findings=findings,
     )
-    return AnalysisResult(report=report, table=table, augmented=augmented)
+    return AnalysisResult(report=report, table=table, ensemble=ensemble)
 
 
 def _meta(dataset: Dataset, config: AnalysisConfig, elapsed: float) -> dict:
@@ -248,11 +270,9 @@ def run_analysis(config: AnalysisConfig) -> tuple[AnalysisResult, list[Path]]:
     write_outputs(out, [])
     result = analyze_dataset(dataset, config)
     report = result.report
-    names = result.table.names
 
     def write_member(k: int, path: Path) -> None:  # one filled member at a time
-        draws = hot_deck_draws(result.augmented, split_seed(config.seed, k))
-        write_matrix_csv(hot_deck_impute(result.augmented, draws), names, path)
+        write_matrix_csv(result.ensemble.filled(k), result.table.names, path)
     return result, write_outputs(
         out,
         [

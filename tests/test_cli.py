@@ -486,6 +486,19 @@ class TestExitCodes:
         assert (payload["kind"], payload["stage"]) == ("parse", "parse")
         assert f"{latin1}: not UTF-8" in payload["message"]
 
+    def test_cell_over_the_field_size_limit_is_parse_error(self, tmp_path, capsys):
+        long = tmp_path / "long.csv"
+        long.write_text("a,b\n1," + "7" * 200_000 + "\n")
+        code, out, err = run(
+            ["analyze", "--input", str(long), "--out", str(tmp_path / "o")], capsys
+        )
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["kind"], payload["stage"]) == ("parse", "parse")
+        assert payload["message"].startswith(f"{long}: line 2: field larger")
+
     @pytest.mark.parametrize(
         "content", ["\n1,2\n", "\n\n\n"], ids=["then_row", "blank_lines_only"]
     )

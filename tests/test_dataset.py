@@ -157,6 +157,18 @@ class TestParseCsv:
         with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8")):
             parse_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("a,b\n1,{}\n", 2), ('a,b\n1,2\n"3\n",4\n5,{}\n', 5)],
+        ids=["first_row", "after_multiline_record"],
+    )
+    def test_cell_over_the_field_size_limit_rejected(self, tmp_path, text, line):
+        # The csv reader caps a cell's length; over it, it raises csv.Error.
+        path = write(tmp_path, text.format("7" * (csv.field_size_limit() + 1)))
+        with pytest.raises(ParseError) as raised:
+            parse_csv(path)
+        assert str(raised.value).startswith(f"{path}: line {line}: field larger")
+
     def test_parse_needs_little_beyond_its_values(self, tmp_path, rng):
         # A Python float per cell would take 7x values.nbytes.
         cells = rng.normal(size=(2_000, 80))

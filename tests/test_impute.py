@@ -3,6 +3,7 @@ import pytest
 from scipy.special import expit, logit
 
 from missgraph import (
+    ContractError,
     UnimputableColumnError,
     hot_deck_impute,
     make_completeness_indicators,
@@ -126,6 +127,15 @@ def test_unimputable_column_named():
     aug = make_completeness_indicators(ds)
     with pytest.raises(UnimputableColumnError, match="bad"):
         hot_deck_draws(aug, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    # Read modulo 2**64, -1 would draw seed 2**64 - 1's member, 2**64 seed 0's.
+    ds = make_dataset({"a": [1.0, None, 3.0], "b": [None, 2.0, 5.0]})
+    aug = make_completeness_indicators(ds)
+    with pytest.raises(ContractError, match=f"seed must be inside .*got {seed}$"):
+        hot_deck_draws(aug, seed)
 
 
 def ensemble(aug, k, master_seed):

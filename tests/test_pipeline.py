@@ -1,4 +1,5 @@
 import json
+import pickle
 import weakref
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -35,6 +36,7 @@ from missgraph import (
     write_csv,
 )
 from missgraph.dataset import write_matrix_csv
+from missgraph.ggm import WarmStart
 from missgraph.pipeline import RIC_STREAM
 from missgraph.report import AnalysisReport, json_record, read_dataclass
 
@@ -169,6 +171,34 @@ def test_members_start_from_member_one_and_match_a_cold_fit(monkeypatch):
         np.testing.assert_array_equal(fit.support, cold.support)
         np.testing.assert_allclose(
             fit.partial_corr, cold.partial_corr, rtol=0, atol=1e-8
+        )
+
+
+def bits(matrix):
+    return np.asarray(matrix).view(np.uint64)
+
+
+def test_each_member_ranks_as_its_filled_matrix_transforms():
+    ensemble = analyze_dataset(DATASET, CONFIG).ensemble
+    for k in range(1, CONFIG.n_imputations + 1):
+        expected = nonparanormal_transform(ensemble.filled(k))
+        np.testing.assert_array_equal(bits(ensemble.ranked(k)), bits(expected))
+
+
+def test_members_fit_alike_in_any_order_and_in_a_copy():
+    # Members 2..K may run in any order, in another process: the shared
+    # matrix carries nothing from one member to the next.
+    result = analyze_dataset(DATASET, CONFIG)
+    ensemble, lam = result.ensemble, result.report.lambdas[0]
+    start = WarmStart.of(ensemble.fit(1, lam).theta)
+    members = range(2, CONFIG.n_imputations + 1)
+    forward = [ensemble.fit(k, lam, start) for k in members]
+    copy, copied_start = pickle.loads(pickle.dumps((ensemble, start)))
+    backward = [copy.fit(k, lam, copied_start) for k in reversed(members)]
+    for ahead, behind in zip(forward, reversed(backward)):
+        np.testing.assert_array_equal(bits(ahead.theta), bits(behind.theta))
+        np.testing.assert_array_equal(
+            bits(ahead.partial_corr), bits(behind.partial_corr)
         )
 
 
