@@ -13,11 +13,14 @@ import csv
 import enum
 import json
 import math
+import re
+import warnings
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -33,6 +36,13 @@ NA_TOKEN = "NA"
 # returns, so one pass over the parsed array tells it from a "nan" text.
 _NA_BITS = 0x7FF8_0000_0000_0A0A
 _NA = np.array([_NA_BITS], dtype=np.uint64).view(float)[0].item()
+
+# Characters of data lines that parse_csv converts in one np.fromstring call:
+# a block's texts then stay small beside the values it parses to.
+_BLOCK_CHARS = 1 << 16
+
+# A cell of whitespace alone, which np.fromstring reads as -1.0.
+_BLANK_CELL = re.compile(",[ \t\v\f]+,")
 
 
 class Category(str, enum.Enum):
@@ -202,9 +212,9 @@ def parse_csv(
     if not path.is_file():
         raise ParseError(f"input file not found: {path}")
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = _decoded(csv.reader(handle), path)
+        records = csv.reader(handle)
         try:
-            header = next(reader)
+            header = next(_decoded(records, path))
         except StopIteration:
             raise ParseError(f"{path}: empty file, expected a header row") from None
         if not header:  # a blank first line
@@ -220,11 +230,28 @@ def parse_csv(
             raise SchemaError(f"{path}: schema names no column: {', '.join(unknown)}")
         n_cols = len(header)
         # The parsed cells, row after row, 8 bytes each (a missing cell is
-        # _NA), in one buffer.  A fault only stops the loop: _first_fault
-        # reads the file again to name the first one in file order.
+        # _NA), in one buffer.  Blocks of plain records are converted whole;
+        # from the first block that is not, the csv reader reads the rest
+        # and each row is parsed by one comprehension.  A fault only stops
+        # the loop: _first_fault reads the file again to name the first one
+        # in file order.
         cells = array("d")
         row_no = 1  # the header
-        for row_no, row in enumerate(reader, start=2):
+        lines, tail = [], handle
+        tokens = _bulk_tokens(na)
+        while tokens is not None:
+            lines, tail = _block_lines(handle)
+            if not lines or tail is not handle:
+                break
+            block = _bulk_block(lines, n_cols, tokens)
+            if block is None:
+                break
+            cells.frombytes(block.view(np.uint8))
+            row_no += len(lines)
+        rest = _decoded(
+            csv.reader(chain(lines, tail)), path, records.line_num + row_no - 1
+        )
+        for row_no, row in enumerate(rest, start=row_no + 1):
             if len(row) != n_cols:
                 raise ParseError(_first_fault(path, header, na))
             try:
@@ -246,16 +273,116 @@ def parse_csv(
     return Dataset(metas=metas, values=values, mask=mask)
 
 
-def _decoded(records: Iterator[list[str]], path: Path) -> Iterator[list[str]]:
+def _decoded(
+    records: Iterator[list[str]], path: Path, lines_before: int = 0
+) -> Iterator[list[str]]:
     """The records of the ``csv.reader`` ``records``; a ParseError naming
-    ``path`` where its text is not UTF-8, or, with the reader's line, where
-    the reader rejects a record (a cell over ``csv.field_size_limit()``)."""
+    ``path`` where its text is not UTF-8, or, with the line in the file,
+    where the reader rejects a record (a cell over
+    ``csv.field_size_limit()``).  ``lines_before`` lines of the file precede
+    the reader's first."""
     try:
         yield from records
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
-        raise ParseError(f"{path}: line {records.line_num}: {exc}") from None
+        line = lines_before + records.line_num
+        raise ParseError(f"{path}: line {line}: {exc}") from None
+
+
+def _block_lines(handle: TextIO) -> tuple[list[str], Iterator[str]]:
+    """The next whole lines of ``handle``, at least ``_BLOCK_CHARS``
+    characters of them but at its end, and what to read after them:
+    ``handle``, or, where its text stopped being UTF-8, an iterator that
+    raises that error, so that the row loop meets it where it would have."""
+    lines: list[str] = []
+    size = 0
+    try:
+        for line in handle:
+            lines.append(line)
+            size += len(line)
+            if size >= _BLOCK_CHARS:
+                break
+    except UnicodeDecodeError as exc:
+        return lines, _raising(exc)
+    return lines, handle
+
+
+def _raising(exc: Exception) -> Iterator[str]:
+    """An iterator that raises ``exc`` when it is first read."""
+    raise exc
+    yield
+
+
+def _bulk_tokens(na: frozenset[str]) -> list[str] | None:
+    """The NA tokens that ``_bulk_block`` rewrites: those a cell of a plain
+    line can equal, unpadded and without a comma.  None if a token is a
+    number other than NaN, which a padded cell of it, left as it is, would
+    parse to, or is ``nan``, the text it is rewritten to, which a second
+    pass would count again."""
+    if "nan" in na:
+        return None
+    for token in na:
+        with suppress(ValueError):
+            if not math.isnan(float(token)):
+                return None
+    return [t for t in sorted(na) if t == t.strip() and "," not in t]
+
+
+def _bulk_block(lines: list[str], n_cols: int, tokens: list[str]) -> np.ndarray | None:
+    r"""The cells of the data lines ``lines``, _NA at a missing one, converted
+    by one ``np.fromstring`` call; None unless that gives, bit for bit, what
+    parse_csv's row loop would read.
+
+    Each line must not be blank, hold no ``"`` and exactly ``n_cols - 1``
+    commas, and be no longer than ``csv.field_size_limit()``.  Its cells are
+    then the texts between its commas once its ending is dropped: ``\n``,
+    ``\r\n`` or ``\r``, where the file's text is split into lines, or none
+    at its end.  A cell that equals one of ``tokens`` is rewritten to
+    ``nan`` and counted.  Any other NaN (a ``nan`` cell, or a padded token),
+    a cell of whitespace alone and any text that ``np.fromstring`` cannot read,
+    which ``float()`` may (``1_0``), returns None.  Every number that
+    ``np.fromstring`` reads, ``float()`` reads the same: both round by
+    ``PyOS_string_to_double``.
+    """
+    if (
+        # A blank line is a record of no cells.
+        any(map(lines.__contains__, ("\n", "\r\n", "\r")))
+        or max(map(len, lines)) > csv.field_size_limit()
+        or set(map(str.count, lines, repeat(","))) != {n_cols - 1}
+    ):
+        return None
+    # Every cell between two commas, for a pattern to match whole cells.
+    text = ",".join(chain([""], map(str.rstrip, lines, repeat("\r\n")), [""]))
+    if '"' in text or (
+        any(map(text.__contains__, " \t\v\f")) and _BLANK_CELL.search(text)
+    ):
+        return None
+    rewritten = 0
+    for token in tokens:
+        if not all(map(text.__contains__, token)):
+            continue
+        pattern = f",{token},"
+        # Matches do not overlap: of a run of tokens, each pass rewrites
+        # every other one.
+        for _ in range(2):
+            found = text.count(pattern)
+            if not found:
+                break
+            rewritten += found
+            text = text.replace(pattern, ",nan,")
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 warns at text it cannot read, and stops there.
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text[1:], sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    missing = np.isnan(values)
+    if values.size != len(lines) * n_cols or np.count_nonzero(missing) != rewritten:
+        return None
+    values[missing] = _NA
+    return values
 
 
 def _first_fault(path: Path, header: list[str], na: frozenset[str]) -> str:

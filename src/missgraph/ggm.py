@@ -131,7 +131,7 @@ def _correlation(xf: np.ndarray) -> np.ndarray:
 
 def _lasso_active_set(
     w: np.ndarray, j: int, target: np.ndarray, lam: float, beta: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact active-set solve of 0.5*b'Gb - t'b + lam*|b|_1, warm-started.
 
     G is ``w`` without row and column ``j``, read in place; ``target`` and
@@ -153,6 +153,11 @@ def _lasso_active_set(
     it factorized, that coordinate lies in the span of A, so it is dropped
     and the solve ends.  A failed solve on a set that did not just grow
     raises, and so does the step budget.
+
+    Returns the coefficients, indexed like ``w``, and ``W @ coefficients``
+    as the last optimality check formed it, ``b @ W[A, :]``.  A near-copy
+    is dropped in the step after it joined, and the check that let it join
+    formed that product for the set it is dropped from.
     """
     active = beta.nonzero()[0]
     b = beta[active]
@@ -186,7 +191,8 @@ def _lasso_active_set(
                 active, b, sign = active[keep], b[keep], sign[keep]
                 continue
             b = x
-        resid = target - b @ rows
+        fitted = b @ rows
+        resid = target - fitted
         resid[active] = 0.0
         resid[j] = 0.0
         worst = np.abs(resid).argmax()
@@ -202,7 +208,7 @@ def _lasso_active_set(
         )
     out = np.zeros(beta.size)
     out[active] = b
-    return out
+    return out, fitted
 
 
 def duality_gap(sigma_hat: np.ndarray, theta: np.ndarray, lam: float) -> float:
@@ -410,7 +416,9 @@ def _glasso_block(
     moves by less than ``W_TOL`` and the duality gap is at most ``gap_tol``.
     Row j of ``coef`` holds column j's lasso coefficients, indexed like W
     with ``coef[j, j]`` = 0; the lasso reads W in place and column j of W
-    becomes ``W @ coef[j]`` off the diagonal.
+    becomes ``W @ coef[j]`` off the diagonal, the product the lasso formed
+    for its last optimality check (Friedman, Hastie & Tibshirani 2008:
+    W12 = W11 beta).
     """
     p = sigma.shape[0]
     converged = False
@@ -418,8 +426,7 @@ def _glasso_block(
     for _ in range(MAX_SWEEPS):
         w_prev = w.copy()
         for j in range(p):
-            coef[j] = _lasso_active_set(w, j, sigma[:, j], lam, coef[j])
-            w_j = w @ coef[j]
+            coef[j], w_j = _lasso_active_set(w, j, sigma[:, j], lam, coef[j])
             w_j[j] = w[j, j]
             w[:, j] = w_j
             w[j] = w_j

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -158,9 +159,28 @@ class TestParseCsv:
             parse_csv(path)
 
     @pytest.mark.parametrize(
+        "fault, message",
+        [("3", "row 3 has 1 cells, expected 2"), ("3,inf", "not UTF-8 text")],
+        ids=["ragged_row", "non_finite_cell"],
+    )
+    def test_fault_before_text_that_is_not_utf8(self, tmp_path, fault, message):
+        # The bad byte lies past the first 8 KiB that the header's read
+        # decodes, inside the first block: the row loop names a ragged row
+        # before it, and meets it before it checks for non-finite cells.
+        path = tmp_path / "late_latin1.csv"
+        text = f"a,b\n1,2\n{fault}\n".encode() + b"1,2\n" * 5000 + b"\xe9,3\n"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
+            parse_csv(path)
+
+    @pytest.mark.parametrize(
         "text, line",
-        [("a,b\n1,{}\n", 2), ('a,b\n1,2\n"3\n",4\n5,{}\n', 5)],
-        ids=["first_row", "after_multiline_record"],
+        [
+            ("a,b\n1,{}\n", 2),
+            ("a,b\n1,{}e-999999\n", 2),
+            ('a,b\n1,2\n"3\n",4\n5,{}\n', 5),
+        ],
+        ids=["first_row", "finite_when_read", "after_multiline_record"],
     )
     def test_cell_over_the_field_size_limit_rejected(self, tmp_path, text, line):
         # The csv reader caps a cell's length; over it, it raises csv.Error.
@@ -168,6 +188,18 @@ class TestParseCsv:
         with pytest.raises(ParseError) as raised:
             parse_csv(path)
         assert str(raised.value).startswith(f"{path}: line {line}: field larger")
+
+    def test_reader_error_after_converted_blocks_names_its_line(
+        self, tmp_path, monkeypatch
+    ):
+        # Rows 2-31 are converted in blocks of about two lines; the reader
+        # starts at the quoted record and counts the lines before it too.
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", 8)
+        text = '"a",b\n' + "1,2\n" * 30 + '"3\n",4\n5,{}\n'
+        path = write(tmp_path, text.format("7" * (csv.field_size_limit() + 1)))
+        with pytest.raises(ParseError) as raised:
+            parse_csv(path)
+        assert str(raised.value).startswith(f"{path}: line 34: field larger")
 
     def test_parse_needs_little_beyond_its_values(self, tmp_path, rng):
         # A Python float per cell would take 7x values.nbytes.
@@ -231,6 +263,21 @@ def reference_parse(path, na_tokens=DEFAULT_NA_TOKENS):
     return np.array(rows, dtype=float)
 
 
+def assert_parses_as_reference(path, **kwargs):
+    """parse_csv(path) reads reference_parse's values, bit for bit, and its
+    mask, or raises the same ParseError."""
+    try:
+        expected = reference_parse(path, **kwargs)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            parse_csv(path, **kwargs)
+        assert str(raised.value) == str(exc)
+        return
+    ds = parse_csv(path, **kwargs)
+    np.testing.assert_array_equal(ds.values.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(ds.mask, ~np.isnan(expected))
+
+
 #: Faults injected into generated CSV texts, besides a ragged record:
 #: letters, non-finite numbers and a quoted cell that spans two lines.
 CELL_FAULTS = ["abc", "inf", "-inf", "nan", "1e999", '"1\n"']
@@ -263,6 +310,36 @@ def csv_texts(draw):
     return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
+@st.composite
+def canonical_csv_texts(draw):
+    """A CSV text of 1-4 columns and 1-8 records that parse_csv converts in
+    blocks: unpadded reprs of finite floats, extremes among them, and
+    whole-cell NA tokens, empty cells too, in runs of 1-4; each line ends
+    in \\n or \\r\\n, the last one or none."""
+    n_cols = draw(st.integers(1, 4))
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+    ).map(lambda x: [repr(x)])
+    # A lone column's empty cell would be a blank line: a record of no cells.
+    tokens = sorted(DEFAULT_NA_TOKENS - ({""} if n_cols == 1 else set()))
+    run = st.builds(
+        lambda token, length: [token] * length,
+        st.sampled_from(tokens),
+        st.integers(1, 4),
+    )
+    cells = sum(draw(st.lists(st.one_of(number, run), min_size=1, max_size=16)), [])
+    rows = [cells[i : i + n_cols] for i in range(0, len(cells), n_cols)][:8]
+    rows[-1] += ["0.5"] * (n_cols - len(rows[-1]))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in rows]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    header = ",".join(f"v{j}" for j in range(n_cols))
+    return header + "\r\n" + "".join(
+        ",".join(row) + end for row, end in zip(rows, ends)
+    )
+
+
 class TestParseMatchesCellByCellReference:
     CASES = {
         "numbers_and_tokens": (
@@ -288,6 +365,23 @@ class TestParseMatchesCellByCellReference:
         "blank_line": ("a,b\n1,2\n\n3,4\n", None),
         "blank_header_and_rows": ("\n\n\n", None),
         "blank_header_then_row": ("\n1,2\n", None),
+        "minus_na": ("a,b\n1,-NA\n", None),
+        "plus_nan": ("a,b\n1,+NaN\n", None),
+        "nan_next_to_token": ("a,b,c\n1,NA,nan\n", None),
+        "lone_carriage_returns": ("a,b\r1,2\r3,NA\r", None),
+        "underscore_digits": ("a,b\n1_000,2\n", None),
+        "arabic_indic_digits": ("a,b\n\u0661\u0662,2\n", None),
+        "blank_line_one_column": ("a\n1\n\n2\n", None),
+        "blank_cell": ("a,b\n1, \n", None),
+        "blank_cell_no_empty_token": ("a,b\n1,\t\n", ["NA"]),
+        "nan_token": ("a,b\nnan,NA\n", ["nan", "NA"]),
+        "ragged_rows_of_right_total": ("a,b\n1,2,3\n4\n", None),
+        "padded_float_na_token": ("a,b\n-999,2\n3, -999 \n", ["-999"]),
+        "padded_inf_na_token": ("a,b\n1, inf \n", ["inf"]),
+        "nan_token_counted_twice": ("a,b,c\nNA,NaN,NaN\n", ["NA", "nan"]),
+        "quoted_token": ('a,b\n"x,1\n', ['"x']),
+        "padded_token": ("a,b\n1, NA\n", [" NA"]),
+        "no_final_line_ending": ("a,b\r\n1,NA\r\n,3", None),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -295,31 +389,70 @@ class TestParseMatchesCellByCellReference:
         text, na_tokens = self.CASES[case]
         path = write(tmp_path, text)
         kwargs = {} if na_tokens is None else {"na_tokens": na_tokens}
-        try:
-            expected = reference_parse(path, **kwargs)
-        except ParseError as exc:
-            with pytest.raises(ParseError) as raised:
-                parse_csv(path, **kwargs)
-            assert str(raised.value) == str(exc)
-            return
-        ds = parse_csv(path, **kwargs)
-        np.testing.assert_array_equal(ds.values.view(np.uint64), expected.view(np.uint64))
-        np.testing.assert_array_equal(ds.mask, ~np.isnan(expected))
+        assert_parses_as_reference(path, **kwargs)
 
     @settings(max_examples=200, deadline=None)
     @given(text=csv_texts())
     def test_generated_texts_match(self, tmp_path_factory, text):
-        path = write(tmp_path_factory.mktemp("generated"), text)
-        try:
-            expected = reference_parse(path)
-        except ParseError as exc:
-            with pytest.raises(ParseError) as raised:
-                parse_csv(path)
-            assert str(raised.value) == str(exc)
-            return
+        assert_parses_as_reference(write(tmp_path_factory.mktemp("generated"), text))
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=canonical_csv_texts(), block_chars=st.sampled_from([8, 64, None]))
+    def test_canonical_texts_match(self, tmp_path_factory, text, block_chars):
+        path = write(tmp_path_factory.mktemp("canonical"), text)
+        with pytest.MonkeyPatch.context() as patch:
+            if block_chars is not None:
+                patch.setattr(dataset, "_BLOCK_CHARS", block_chars)
+            assert_parses_as_reference(path)
+
+    def test_canonical_file_never_enters_the_row_loop(self, tmp_path, monkeypatch):
+        # Only the header goes through the csv reader: every data line is
+        # converted in blocks, of four lines each here.
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", 64)
+        rows = ["1.5,NA,-0.0", ",NaN,5e-324", "null,NA,NA", "2,,1.7976931348623157e308"]
+        path = write(tmp_path, "a,b,c\r\n" + "\r\n".join(rows * 20) + "\r\n")
+        decoded = dataset._decoded
+        records = []
+
+        def spy(*args):
+            for record in decoded(*args):
+                records.append(record)
+                yield record
+
+        monkeypatch.setattr(dataset, "_decoded", spy)
         ds = parse_csv(path)
-        np.testing.assert_array_equal(ds.values.view(np.uint64), expected.view(np.uint64))
-        np.testing.assert_array_equal(ds.mask, ~np.isnan(expected))
+        assert records == [["a", "b", "c"]]
+        assert ds.mask.sum() == 20 * 5
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a,b\n1,2\n1_0,3\n", "a,b\n1,2x\n", "a,b\n" + "1,2\n" * 40 + "3,4 5\n"],
+        ids=["float_reads_it", "letters", "after_converted_blocks"],
+    )
+    def test_numpy_1_fromstring_falls_back(self, tmp_path, monkeypatch, text):
+        # numpy < 2 warns at text that np.fromstring cannot read and returns
+        # what it read before; this stand-in returns zeros of the full
+        # length, so only the warning tells the block apart.
+        fromstring = np.fromstring
+
+        def numpy_1_fromstring(text, sep):
+            try:
+                return fromstring(text, sep=sep)
+            except ValueError:
+                warnings.warn(
+                    "string or file could not be read to its end due to"
+                    " unmatched data; this will raise a ValueError in the future.",
+                    DeprecationWarning,
+                    stacklevel=2,
+                )
+                return np.zeros(text.count(sep) + 1)
+
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", 64)
+        monkeypatch.setattr(np, "fromstring", numpy_1_fromstring)
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            assert_parses_as_reference(write(tmp_path, text))
+        assert escaped == []
 
     @pytest.mark.parametrize(
         "rewritten", ["a,b\n1,2\n3,4\n", "a,b\n", None],

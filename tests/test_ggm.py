@@ -262,16 +262,19 @@ class TestGlasso:
         gram = w[np.ix_(others, others)]
         target = gram @ (rng.standard_normal(30) * (rng.random(30) < 0.3))
         for lam in (0.01, 0.1, 0.5):
-            exact = missgraph.ggm._lasso_active_set(
+            exact, _ = missgraph.ggm._lasso_active_set(
                 w, j, np.insert(target, j, 1.0), lam, np.zeros(31)
-            )[others]
+            )
+            exact = exact[others]
             # Every nonzero starts with the wrong sign: the walk back runs.
             flipped = -np.sign(exact) * rng.uniform(0.5, 2.0, size=30)
             for start in (np.zeros(30), rng.standard_normal(30), flipped):
-                beta = missgraph.ggm._lasso_active_set(
+                beta, fitted = missgraph.ggm._lasso_active_set(
                     w, j, np.insert(target, j, 1.0), lam, np.insert(start, j, 0.0)
                 )
                 assert beta[j] == 0.0
+                # The product it returns is W @ beta, whatever row j holds.
+                np.testing.assert_allclose(fitted, w @ beta, rtol=0, atol=1e-12)
                 beta = beta[others]
                 resid = target - gram @ beta
                 on = beta != 0.0
@@ -291,7 +294,7 @@ class TestGlasso:
         # solve fails.
         w = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 1.5], [0.5, 1.5, 1.0]])
         with pytest.raises(ConvergenceError, match="positive definiteness"):
-            missgraph.ggm._lasso_active_set(
+            coef, fitted = missgraph.ggm._lasso_active_set(
                 w, 0, w[:, 0], 0.1, np.array([0.0, 0.2, 0.2])
             )
 
@@ -312,7 +315,7 @@ class TestGlasso:
         for w, lam in cases:
             beta = missgraph.ggm._lasso_active_set(
                 w, 0, w[:, 0], lam, np.zeros(len(w))
-            )[1:]
+            )[0][1:]
             resid = w[1:, 0] - w[1:, 1:] @ beta
             on = beta != 0.0
             np.testing.assert_allclose(
@@ -334,7 +337,7 @@ class TestGlasso:
         lam = float(draw.choice([0.01, 0.05, 0.1, 0.2]))
         beta = missgraph.ggm._lasso_active_set(
             w, 0, w[:, 0], lam, np.zeros(len(w))
-        )[1:]
+        )[0][1:]
         resid = w[1:, 0] - w[1:, 1:] @ beta
         on = beta != 0.0
         np.testing.assert_allclose(
@@ -477,6 +480,53 @@ def assert_certified(sigma, theta, lam):
     assert cert["off_support_violation"] <= 1e-6
     assert cert["on_support_deviation"] <= 1e-6
     assert abs(cert["duality_gap"]) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [62, 104, 168, 0, 1, 2])
+@pytest.mark.parametrize("lam", [0.01, 0.1])
+def test_sweep_refreshes_each_column_by_its_lasso(seed, lam, monkeypatch):
+    # Each solve's column of W becomes W @ coef off the diagonal, read from
+    # the product the lasso formed.  The inputs are those of
+    # test_inner_lasso_near_copy_coordinates: at seeds 62, 104 and 168 the
+    # near-copy joins a set, its Cholesky factorization fails and it is
+    # dropped, and the product is the one formed before it joined.
+    draw = np.random.default_rng(seed)
+    p = draw.integers(3, 8)
+    x = draw.standard_normal((200, 1)) + draw.standard_normal((200, p))
+    noise = 10 ** draw.uniform(-9, -3) * draw.standard_normal((200, 1))
+    sigma = correlation_matrix(np.hstack([x, x[:, -1:] + noise]))
+    lasso = missgraph.ggm._lasso_active_set
+    dposv = missgraph.ggm.dposv
+    solved = []
+    dropped = 0
+
+    def check_last_refresh(w):
+        j, before, coef = solved[-1]
+        expected = before @ coef
+        expected[j] = before[j, j]
+        np.testing.assert_allclose(w[:, j], expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(w[j], w[:, j])
+
+    def spy(w, j, target, lam, beta):
+        if solved:
+            check_last_refresh(w)
+        coef, fitted = lasso(w, j, target, lam, beta)
+        solved.append((j, w.copy(), coef.copy()))
+        return coef, fitted
+
+    def counting_dposv(*args, **kwargs):
+        nonlocal dropped
+        factor, x, info = dposv(*args, **kwargs)
+        dropped += info > 0
+        return factor, x, info
+
+    monkeypatch.setattr(missgraph.ggm, "_lasso_active_set", spy)
+    monkeypatch.setattr(missgraph.ggm, "dposv", counting_dposv)
+    w, coef = sigma.copy(), np.zeros(sigma.shape)
+    theta = missgraph.ggm._glasso_block(sigma, lam, missgraph.ggm.GAP_TOL, w, coef)
+    check_last_refresh(w)
+    assert (dropped > 0) == (seed in (62, 104, 168))
+    assert_certified(sigma, theta, lam)
 
 
 def copies_and_masks(rng, n=300):
