@@ -20,7 +20,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -201,10 +201,12 @@ def parse_csv(
 
     Raises
     ------
-    ParseError for missing files, text that is not UTF-8, a record the CSV
-    reader rejects (with its line), empty tables, a blank header row or
-    cell, and the first ragged row (with its number) or non-numeric cell
-    (with row/column coordinates) in file order;
+    ParseError for missing files, empty tables, a blank header row or cell,
+    and the first fault in file order, the file's own faults included:
+    text that is not UTF-8 (met where the file's 8 KiB piece that holds it
+    is decoded), a record the CSV reader rejects (with its line), a ragged
+    row (with its number) or a cell that is not a finite number (with
+    row/column coordinates);
     SchemaError for duplicate header names and schema keys naming no column.
     """
     path = Path(path)
@@ -212,9 +214,8 @@ def parse_csv(
     if not path.is_file():
         raise ParseError(f"input file not found: {path}")
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        records = csv.reader(handle)
         try:
-            header = next(_decoded(records, path))
+            header = next(_decoded(csv.reader(handle), path))
         except StopIteration:
             raise ParseError(f"{path}: empty file, expected a header row") from None
         if not header:  # a blank first line
@@ -232,35 +233,28 @@ def parse_csv(
         # The parsed cells, row after row, 8 bytes each (a missing cell is
         # _NA), in one buffer.  Blocks of plain records are converted whole;
         # from the first block that is not, the csv reader reads the rest
-        # and each row is parsed by one comprehension.  A fault only stops
-        # the loop: _first_fault reads the file again to name the first one
-        # in file order.
+        # and each row is parsed by one comprehension.  Any fault (text that
+        # is not UTF-8, a record the reader rejects, a ragged row, a cell
+        # float() rejects) only stops the loop: _first_fault reads the file
+        # again to name the first one in file order.
         cells = array("d")
-        row_no = 1  # the header
-        lines, tail = [], handle
+        lines: list[str] = []
         tokens = _bulk_tokens(na)
-        while tokens is not None:
-            lines, tail = _block_lines(handle)
-            if not lines or tail is not handle:
-                break
-            block = _bulk_block(lines, n_cols, tokens)
-            if block is None:
-                break
-            cells.frombytes(block.view(np.uint8))
-            row_no += len(lines)
-        rest = _decoded(
-            csv.reader(chain(lines, tail)), path, records.line_num + row_no - 1
-        )
-        for row_no, row in enumerate(rest, start=row_no + 1):
-            if len(row) != n_cols:
-                raise ParseError(_first_fault(path, header, na))
-            try:
+        try:
+            while tokens is not None and (lines := handle.readlines(_BLOCK_CHARS)):
+                block = _bulk_block(lines, n_cols, tokens)
+                if block is None:
+                    break
+                cells.frombytes(block.view(np.uint8))
+            for row in csv.reader(chain(lines, handle)):
+                if len(row) != n_cols:
+                    raise ValueError("ragged row")
                 cells.extend([_NA if (t := c.strip()) in na else float(t) for c in row])
-            except ValueError:
-                raise ParseError(_first_fault(path, header, na)) from None
-    if row_no == 1:
+        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+            raise ParseError(_first_fault(path, header, na)) from None
+    if not cells:
         raise ParseError(f"{path}: no data rows below the header")
-    values = np.frombuffer(cells, dtype=float).reshape(row_no - 1, n_cols)
+    values = np.frombuffer(cells, dtype=float).reshape(len(cells) // n_cols, n_cols)
     mask = values.view(np.uint64) != _NA_BITS
     if (mask & ~np.isfinite(values)).any():
         raise ParseError(_first_fault(path, header, na))
@@ -273,45 +267,17 @@ def parse_csv(
     return Dataset(metas=metas, values=values, mask=mask)
 
 
-def _decoded(
-    records: Iterator[list[str]], path: Path, lines_before: int = 0
-) -> Iterator[list[str]]:
-    """The records of the ``csv.reader`` ``records``; a ParseError naming
-    ``path`` where its text is not UTF-8, or, with the line in the file,
-    where the reader rejects a record (a cell over
-    ``csv.field_size_limit()``).  ``lines_before`` lines of the file precede
-    the reader's first."""
+def _decoded(records: Iterator[list[str]], path: Path) -> Iterator[list[str]]:
+    """The records of the ``csv.reader`` ``records``, which reads ``path``
+    from its start; a ParseError naming ``path`` where its text is not
+    UTF-8, or, with its line, where the reader rejects a record (a cell over
+    ``csv.field_size_limit()``)."""
     try:
         yield from records
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
-        line = lines_before + records.line_num
-        raise ParseError(f"{path}: line {line}: {exc}") from None
-
-
-def _block_lines(handle: TextIO) -> tuple[list[str], Iterator[str]]:
-    """The next whole lines of ``handle``, at least ``_BLOCK_CHARS``
-    characters of them but at its end, and what to read after them:
-    ``handle``, or, where its text stopped being UTF-8, an iterator that
-    raises that error, so that the row loop meets it where it would have."""
-    lines: list[str] = []
-    size = 0
-    try:
-        for line in handle:
-            lines.append(line)
-            size += len(line)
-            if size >= _BLOCK_CHARS:
-                break
-    except UnicodeDecodeError as exc:
-        return lines, _raising(exc)
-    return lines, handle
-
-
-def _raising(exc: Exception) -> Iterator[str]:
-    """An iterator that raises ``exc`` when it is first read."""
-    raise exc
-    yield
+        raise ParseError(f"{path}: line {records.line_num}: {exc}") from None
 
 
 def _bulk_tokens(na: frozenset[str]) -> list[str] | None:

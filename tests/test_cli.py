@@ -3,12 +3,16 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import missgraph.cli
 import missgraph.ggm
@@ -49,6 +53,38 @@ def assert_usage_error(code, out, err, message):
     assert message in payload["message"]
 
 
+#: Cell texts that fuzzed CSVs carry, besides a ragged row, a stray byte that
+#: is not UTF-8 and the whole file written in UTF-16.
+FUZZED_CELLS = ["inf", "1e999", "abc", "\0", '"1\n2"']
+
+
+@st.composite
+def fuzzed_csv_bytes(draw):
+    """The bytes of a CSV of 1-4 columns and 0-40 rows of small integers and
+    NA cells (1 in 20), carrying 0-3 faults.  The cells come from a Random
+    of a drawn seed, which keeps the draw cheap."""
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 40))
+    kinds = ["ragged", "stray_byte", "utf_16", *FUZZED_CELLS]
+    faults = draw(st.lists(st.sampled_from(kinds), max_size=3))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    draws = rnd.choices(range(-9, 11), k=n_rows * n_cols)
+    cells = [str(x) if x < 10 else "NA" for x in draws]
+    rows = [cells[i : i + n_cols] for i in range(0, len(cells), n_cols)]
+    for fault in faults:
+        if rows and fault == "ragged":
+            rnd.choice(rows).append("1")
+        elif rows and fault in FUZZED_CELLS:
+            rnd.choice(rows)[rnd.randrange(n_cols)] = fault
+    header = ",".join(f"v{j}" for j in range(n_cols))
+    text = header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    data = text.encode("utf-16" if "utf_16" in faults else "utf-8")
+    if "stray_byte" in faults:
+        at = rnd.randint(0, len(data))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
 def strip_volatile(text: str) -> str:
     """Drop the run-clock lines; everything else must be byte-identical."""
     return "\n".join(
@@ -56,6 +92,11 @@ def strip_volatile(text: str) -> str:
         for line in text.splitlines()
         if '"timestamp"' not in line and '"elapsed_seconds"' not in line
     )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzzed")
 
 
 @pytest.fixture(scope="module")
@@ -727,6 +768,26 @@ class TestExitCodes:
         code, _, _ = run(["analyze", "--input", str(bad), "--out", str(out)], capsys)
         assert code == 3
         assert not out.exists() or not list(out.iterdir())
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=fuzzed_csv_bytes())
+    def test_any_csv_exits_0_or_with_one_json_line(self, fuzz_dir, data):
+        # Each example overwrites the last one's input and outputs; a new
+        # directory per example added about 0.4 s to the 200 examples.
+        path = fuzz_dir / "data.csv"
+        path.write_bytes(data)
+        argv = [
+            "analyze", "--input", str(path), "--out", str(fuzz_dir / "out"),
+            "--imputations", "2", "--lambda-value", "0.2",
+        ]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        if code != 0:
+            assert code in (2, 3, 4)
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["code"] == code
 
 
 class TestSimulate:

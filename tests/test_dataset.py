@@ -160,13 +160,16 @@ class TestParseCsv:
 
     @pytest.mark.parametrize(
         "fault, message",
-        [("3", "row 3 has 1 cells, expected 2"), ("3,inf", "not UTF-8 text")],
+        [
+            ("3", "row 3 has 1 cells, expected 2"),
+            ("3,inf", "row 3, column 'b': cannot parse 'inf' as a finite number"),
+        ],
         ids=["ragged_row", "non_finite_cell"],
     )
     def test_fault_before_text_that_is_not_utf8(self, tmp_path, fault, message):
         # The bad byte lies past the first 8 KiB that the header's read
-        # decodes, inside the first block: the row loop names a ragged row
-        # before it, and meets it before it checks for non-finite cells.
+        # decodes, inside the first block: the fault before it, in file
+        # order, is the one named.
         path = tmp_path / "late_latin1.csv"
         text = f"a,b\n1,2\n{fault}\n".encode() + b"1,2\n" * 5000 + b"\xe9,3\n"
         path.write_bytes(text)
@@ -192,8 +195,9 @@ class TestParseCsv:
     def test_reader_error_after_converted_blocks_names_its_line(
         self, tmp_path, monkeypatch
     ):
-        # Rows 2-31 are converted in blocks of about two lines; the reader
-        # starts at the quoted record and counts the lines before it too.
+        # Rows 2-31 are converted in blocks of about two lines and the row
+        # loop's reader starts at the quoted record; the second read, from
+        # line 1, names the line in the file.
         monkeypatch.setattr(dataset, "_BLOCK_CHARS", 8)
         text = '"a",b\n' + "1,2\n" * 30 + '"3\n",4\n5,{}\n'
         path = write(tmp_path, text.format("7" * (csv.field_size_limit() + 1)))
@@ -230,36 +234,45 @@ class TestParseCsv:
 
 def reference_parse(path, na_tokens=DEFAULT_NA_TOKENS):
     """Values of a CSV read cell by cell in file order: a stripped NA token is
-    NaN, any other cell must be a finite float; errors as parse_csv's."""
-    na = frozenset(na_tokens)
+    NaN, any other cell must be a finite float; errors as parse_csv's, text
+    that is not UTF-8 and a record the csv reader rejects among them."""
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader)]
-        if not header:
-            raise ParseError(f"{path}: empty header row")
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+        try:
+            return _reference_rows(path, reader, frozenset(na_tokens))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _reference_rows(path, reader, na):
+    header = [h.strip() for h in next(reader)]
+    if not header:
+        raise ParseError(f"{path}: empty header row")
+    rows = []
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+            )
+        parsed = []
+        for name, cell in zip(header, row):
+            trimmed = cell.strip()
+            if trimmed in na:
+                parsed.append(math.nan)
+                continue
+            try:
+                value = float(trimmed)
+            except ValueError:
+                value = math.inf
+            if not math.isfinite(value):
                 raise ParseError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: row {row_no}, column {name!r}: "
+                    f"cannot parse {cell!r} as a finite number"
                 )
-            parsed = []
-            for name, cell in zip(header, row):
-                trimmed = cell.strip()
-                if trimmed in na:
-                    parsed.append(math.nan)
-                    continue
-                try:
-                    value = float(trimmed)
-                except ValueError:
-                    value = math.inf
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {name!r}: "
-                        f"cannot parse {cell!r} as a finite number"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            parsed.append(value)
+        rows.append(parsed)
     return np.array(rows, dtype=float)
 
 
@@ -405,21 +418,48 @@ class TestParseMatchesCellByCellReference:
                 patch.setattr(dataset, "_BLOCK_CHARS", block_chars)
             assert_parses_as_reference(path)
 
+    @pytest.mark.parametrize(
+        "head, rows, tail",
+        [
+            (b"a,b\n1,2", 5000, b"\xe9,3\n"),
+            (b"a,b\n1,2", 1, b"7," + b"7" * (csv.field_size_limit() + 1) + b"\n"),
+            (b'"a",b\n1,2', 5000, b"\xe9,3\n"),
+            (b'a,b\n"1",2', 20_000, b"\xe9,3\n"),
+        ],
+        ids=["not_utf8", "over_field_size_limit", "quoted_header", "in_the_row_loop"],
+    )
+    def test_non_finite_cell_before_a_fault_of_the_file(
+        self, tmp_path, head, rows, tail
+    ):
+        # Row 3's inf comes before the fault of the file's text or records in
+        # file order, so it is the one named.  The bad byte lies past the
+        # first 8 KiB that the header's read decodes; in the last case the
+        # quoted cell sends every line through the csv reader's row loop,
+        # and the byte lies past the first block, so that reader meets it.
+        path = tmp_path / "data.csv"
+        path.write_bytes(head + b"\n3,inf\n" + b"1,2\n" * rows + tail)
+        assert_parses_as_reference(path)
+        with pytest.raises(ParseError) as raised:
+            parse_csv(path)
+        assert str(raised.value) == (
+            f"{path}: row 3, column 'b': cannot parse 'inf' as a finite number"
+        )
+
     def test_canonical_file_never_enters_the_row_loop(self, tmp_path, monkeypatch):
         # Only the header goes through the csv reader: every data line is
         # converted in blocks, of four lines each here.
         monkeypatch.setattr(dataset, "_BLOCK_CHARS", 64)
         rows = ["1.5,NA,-0.0", ",NaN,5e-324", "null,NA,NA", "2,,1.7976931348623157e308"]
         path = write(tmp_path, "a,b,c\r\n" + "\r\n".join(rows * 20) + "\r\n")
-        decoded = dataset._decoded
+        reader = csv.reader
         records = []
 
         def spy(*args):
-            for record in decoded(*args):
+            for record in reader(*args):
                 records.append(record)
                 yield record
 
-        monkeypatch.setattr(dataset, "_decoded", spy)
+        monkeypatch.setattr(dataset.csv, "reader", spy)
         ds = parse_csv(path)
         assert records == [["a", "b", "c"]]
         assert ds.mask.sum() == 20 * 5
