@@ -9,6 +9,7 @@ and column coordinates.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import enum
 import json
@@ -20,7 +21,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -203,21 +204,23 @@ def parse_csv(
     ------
     ParseError for missing files, empty tables, a blank header row or cell,
     and the first fault in file order, the file's own faults included:
-    text that is not UTF-8 (met where the file's 8 KiB piece that holds it
-    is decoded), a record the CSV reader rejects (with its line), a ragged
-    row (with its number) or a cell that is not a finite number (with
-    row/column coordinates);
+    text that is not UTF-8 (met at its own line), a record the CSV reader
+    rejects (with its line), a ragged row (with its number) or a cell that
+    is not a finite number (with row/column coordinates).  A header that
+    fails its own checks is named only if the file's first 8 KiB are UTF-8;
     SchemaError for duplicate header names and schema keys naming no column.
     """
     path = Path(path)
-    na = frozenset(str(t) for t in na_tokens)
+    na = frozenset(str(t).strip() for t in na_tokens)
     if not path.is_file():
         raise ParseError(f"input file not found: {path}")
     with path.open(newline="", encoding="utf-8-sig") as handle:
         try:
-            header = next(_decoded(csv.reader(handle), path))
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected a header row") from None
+            header = next(csv.reader(handle), None)
+        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+            raise ParseError(_first_fault(path, na)) from None
+        if header is None:
+            raise ParseError(f"{path}: empty file, expected a header row")
         if not header:  # a blank first line
             raise ParseError(f"{path}: empty header row")
         header = [h.strip() for h in header]
@@ -251,13 +254,13 @@ def parse_csv(
                     raise ValueError("ragged row")
                 cells.extend([_NA if (t := c.strip()) in na else float(t) for c in row])
         except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
-            raise ParseError(_first_fault(path, header, na)) from None
+            raise ParseError(_first_fault(path, na)) from None
     if not cells:
         raise ParseError(f"{path}: no data rows below the header")
     values = np.frombuffer(cells, dtype=float).reshape(len(cells) // n_cols, n_cols)
     mask = values.view(np.uint64) != _NA_BITS
     if (mask & ~np.isfinite(values)).any():
-        raise ParseError(_first_fault(path, header, na))
+        raise ParseError(_first_fault(path, na))
     values[~mask] = np.nan
     schema = schema or {}
     metas = tuple(
@@ -267,22 +270,9 @@ def parse_csv(
     return Dataset(metas=metas, values=values, mask=mask)
 
 
-def _decoded(records: Iterator[list[str]], path: Path) -> Iterator[list[str]]:
-    """The records of the ``csv.reader`` ``records``, which reads ``path``
-    from its start; a ParseError naming ``path`` where its text is not
-    UTF-8, or, with its line, where the reader rejects a record (a cell over
-    ``csv.field_size_limit()``)."""
-    try:
-        yield from records
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise ParseError(f"{path}: line {records.line_num}: {exc}") from None
-
-
 def _bulk_tokens(na: frozenset[str]) -> list[str] | None:
     """The NA tokens that ``_bulk_block`` rewrites: those a cell of a plain
-    line can equal, unpadded and without a comma.  None if a token is a
+    line can equal, without a comma.  None if a token is a
     number other than NaN, which a padded cell of it, left as it is, would
     parse to, or is ``nan``, the text it is rewritten to, which a second
     pass would count again."""
@@ -292,7 +282,7 @@ def _bulk_tokens(na: frozenset[str]) -> list[str] | None:
         with suppress(ValueError):
             if not math.isnan(float(token)):
                 return None
-    return [t for t in sorted(na) if t == t.strip() and "," not in t]
+    return [t for t in sorted(na) if "," not in t]
 
 
 def _bulk_block(lines: list[str], n_cols: int, tokens: list[str]) -> np.ndarray | None:
@@ -351,27 +341,36 @@ def _bulk_block(lines: list[str], n_cols: int, tokens: list[str]) -> np.ndarray 
     return values
 
 
-def _first_fault(path: Path, header: list[str], na: frozenset[str]) -> str:
-    """Message of the first fault in the data rows of ``path``, read again: a
-    record of the wrong length (before its cells), a cell that
-    :func:`_parse_cell` rejects, or else that the file changed since."""
-    with suppress(OSError), path.open(newline="", encoding="utf-8-sig") as handle:
-        records = _decoded(csv.reader(handle), path)
-        next(records, None)  # the header
-        for row_no, row in enumerate(records, start=2):
-            if len(row) != len(header):
-                return (
-                    f"{path}: row {row_no} has {len(row)} cells,"
-                    f" expected {len(header)}"
-                )
-            for column, cell in zip(header, row):
-                try:
-                    _parse_cell(cell, na)
-                except ValueError:
+def _first_fault(path: Path, na: frozenset[str]) -> str:
+    """Message of the first fault of ``path`` in file order, read again with
+    each line decoded on its own: text that is not UTF-8, a record the csv
+    reader rejects (with its line), a data record of the wrong length (before
+    its cells), a cell :func:`_parse_cell` rejects, or else that the file
+    changed since."""
+    with suppress(OSError), path.open("rb") as handle:
+        # bytes.splitlines ends a line where the csv reader does: \n, \r\n, \r.
+        lines = (line for piece in handle for line in piece.splitlines(keepends=True))
+        records = csv.reader(codecs.iterdecode(lines, "utf-8-sig"))
+        try:
+            header = [h.strip() for h in next(records, [])]
+            for row_no, row in enumerate(records, start=2):
+                if len(row) != len(header):
                     return (
-                        f"{path}: row {row_no}, column {column!r}: "
-                        f"cannot parse {cell!r} as a finite number"
+                        f"{path}: row {row_no} has {len(row)} cells,"
+                        f" expected {len(header)}"
                     )
+                for column, cell in zip(header, row):
+                    try:
+                        _parse_cell(cell, na)
+                    except ValueError:
+                        return (
+                            f"{path}: row {row_no}, column {column!r}: "
+                            f"cannot parse {cell!r} as a finite number"
+                        )
+        except UnicodeDecodeError as exc:
+            return f"{path}: not UTF-8 text ({exc.reason})"
+        except csv.Error as exc:
+            return f"{path}: line {records.line_num}: {exc}"
     return f"{path}: changed while it was being read"
 
 

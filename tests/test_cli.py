@@ -85,6 +85,41 @@ def fuzzed_csv_bytes(draw):
     return data
 
 
+#: Values that replace one entry of a fuzzed report, spec or config file, or
+#: fill a key added to it; none makes a run grow.
+FUZZED_VALUES = [None, "abc", -1, 0, 1, 0.5, True, [], {}]
+
+
+def json_paths(node, path=()):
+    """The path (keys and indices) of ``node`` and of every entry within it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_paths(child, (*path, key))
+
+
+@st.composite
+def mutated_json(draw, document):
+    """A copy of the JSON ``document`` with one entry replaced by one of
+    FUZZED_VALUES or dropped, or with an unknown key of such a value added to
+    one of its objects."""
+    document = json.loads(json.dumps(document))
+    path = draw(st.sampled_from(list(json_paths(document))))
+    action = draw(st.sampled_from(["replace", "drop", "add"]))
+    value = draw(st.sampled_from(FUZZED_VALUES))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else document
+    if isinstance(node, dict) and (action == "add" or not path):
+        node["unknown_key"] = value
+    elif action == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return document
+
+
 def strip_volatile(text: str) -> str:
     """Drop the run-clock lines; everything else must be byte-identical."""
     return "\n".join(
@@ -97,6 +132,41 @@ def strip_volatile(text: str) -> str:
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzzed")
+
+
+@pytest.fixture(scope="module")
+def json_fuzz(tmp_path_factory):
+    """A directory holding a 50-row spec, the table it simulates, a config
+    that analyzes that table and the report of that analysis, with each
+    file's command line, which names the files relative to the directory."""
+    root = tmp_path_factory.mktemp("json_fuzz")
+    spec = {
+        "n": 50,
+        "seed": 3,
+        "names": ["a", "b"],
+        "precision": {"type": "ar1", "p": 2, "rho": 0.5},
+        "mechanisms": [{"kind": "MNAR", "target": "a", "rate": 0.3, "slope": 1.5}],
+    }
+    config = {
+        "input": "sim/dataset.csv", "out": "run", "n_imputations": 2,
+        "lambda_value": 0.2,
+    }
+    (root / "spec.json").write_text(json.dumps(spec))
+    (root / "config.json").write_text(json.dumps(config))
+    commands = {
+        "spec.json": ["simulate", "--spec", "spec.json", "--out", "sim"],
+        "config.json": ["analyze", "--config", "config.json"],
+        "report.json": ["export", "--report", "report.json", "--format", "csv"],
+    }
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()):
+        patch.chdir(root)
+        assert main(commands["spec.json"]) == 0
+        assert main(commands["config.json"]) == 0
+    (root / "report.json").write_text((root / "run" / "report.json").read_text())
+    documents = {
+        name: json.loads((root / name).read_text()) for name in sorted(commands)
+    }
+    return root, commands, documents
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +351,21 @@ class TestAnalyze:
         assert report["missing_profile"][0]["missing_proportion"] == pytest.approx(
             len(missing) / (len(lines) - 1)
         )
+
+    def test_padded_na_token_is_trimmed_like_the_cells(self, tmp_path, capsys):
+        # The report's config keeps the token as given.
+        code, _, _ = run(
+            [
+                "analyze", "--input", str(DATA / "mnar_example.csv"),
+                "--imputations", "2", "--lambda-value", "0.2",
+                "--na-token", " NA ", "--out", str(tmp_path / "out"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["meta"]["config"]["na_tokens"] == [" NA "]
+        assert report["missing_profile"][0]["missing_proportion"] > 0
 
     def test_outdir_from_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MISSGRAPH_OUTDIR", str(tmp_path / "envout"))
@@ -783,6 +868,26 @@ class TestExitCodes:
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main(argv)
+        if code != 0:
+            assert code in (2, 3, 4)
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["code"] == code
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_report_spec_or_config_exits_0_or_with_one_json_line(
+        self, json_fuzz, data
+    ):
+        # Each example overwrites the last one's file and outputs.
+        root, commands, documents = json_fuzz
+        name = data.draw(st.sampled_from(sorted(documents)))
+        (root / name).write_text(json.dumps(data.draw(mutated_json(documents[name]))))
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(root)
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(commands[name])
         if code != 0:
             assert code in (2, 3, 4)
             lines = err.getvalue().splitlines()

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import math
 import re
@@ -233,17 +234,19 @@ class TestParseCsv:
 
 
 def reference_parse(path, na_tokens=DEFAULT_NA_TOKENS):
-    """Values of a CSV read cell by cell in file order: a stripped NA token is
-    NaN, any other cell must be a finite float; errors as parse_csv's, text
-    that is not UTF-8 and a record the csv reader rejects among them."""
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            return _reference_rows(path, reader, frozenset(na_tokens))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except csv.Error as exc:
-            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    """Values of a CSV read cell by cell in file order, each line decoded on
+    its own when the csv reader asks for it: a stripped cell that equals a
+    stripped NA token is NaN, any other cell must be a finite float; errors
+    as parse_csv's, text that is not UTF-8 and a record the csv reader
+    rejects among them."""
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    reader = csv.reader(line.decode() for line in data.splitlines(keepends=True))
+    try:
+        return _reference_rows(path, reader, frozenset(t.strip() for t in na_tokens))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _reference_rows(path, reader, na):
@@ -394,6 +397,7 @@ class TestParseMatchesCellByCellReference:
         "nan_token_counted_twice": ("a,b,c\nNA,NaN,NaN\n", ["NA", "nan"]),
         "quoted_token": ('a,b\n"x,1\n', ['"x']),
         "padded_token": ("a,b\n1, NA\n", [" NA"]),
+        "token_padded_both_sides": ("a,b\n1, NA \n2,NA\n", [" NA "]),
         "no_final_line_ending": ("a,b\r\n1,NA\r\n,3", None),
     }
 
@@ -404,10 +408,56 @@ class TestParseMatchesCellByCellReference:
         kwargs = {} if na_tokens is None else {"na_tokens": na_tokens}
         assert_parses_as_reference(path, **kwargs)
 
+    #: Files of bytes and the fault each names.  Each line is decoded on its
+    #: own, so a fault before a bad byte in the same 8 KiB is named first.
+    BYTES_CASES = {
+        "ragged_row_before_a_bad_byte": (
+            b"a,b\n1,2\n3\n\xe9,3\n", "row 3 has 1 cells, expected 2"
+        ),
+        "ragged_row_40_bytes_before_a_bad_byte_12_kb_in": (
+            b"a,b\n" + b"1,2\n" * 3000 + b"3\n" + b"1,2\n" * 9 + b"\xe9,3\n",
+            "row 3002 has 1 cells, expected 2",
+        ),
+        "bad_cell_before_a_bad_byte": (
+            b"a,b\n1,2\n3,x\n" + b"1,2\n" * 100 + b"\xe9,3\n",
+            "row 3, column 'b': cannot parse 'x' as a finite number",
+        ),
+        "bad_byte_in_header": (
+            b"a,\xe9\n1,2\n", "not UTF-8 text (invalid continuation byte)"
+        ),
+        "byte_order_mark_and_bad_cell_in_column_1": (
+            b"\xef\xbb\xbfa,b\nx,2\n",
+            "row 2, column 'a': cannot parse 'x' as a finite number",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BYTES_CASES))
+    def test_bytes_name_the_first_fault(self, case, tmp_path):
+        content, message = self.BYTES_CASES[case]
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        assert_parses_as_reference(path)
+        with pytest.raises(ParseError) as raised:
+            parse_csv(path)
+        assert str(raised.value) == f"{path}: {message}"
+
     @settings(max_examples=200, deadline=None)
     @given(text=csv_texts())
     def test_generated_texts_match(self, tmp_path_factory, text):
         assert_parses_as_reference(write(tmp_path_factory.mktemp("generated"), text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_generated_bytes_match(self, tmp_path_factory, data):
+        # One byte that is not UTF-8 at the start of a random cell, the
+        # header's included, among the text's own faults.
+        content = data.draw(csv_texts()).encode()
+        starts = [0] + [i + 1 for i, b in enumerate(content[:-1]) if b in b",\n"]
+        at = data.draw(st.sampled_from(starts))
+        byte = data.draw(st.sampled_from([b"\xe9", b"\xff"]))
+        path = tmp_path_factory.mktemp("bytes") / "data.csv"
+        path.write_bytes(content[:at] + byte + content[at:])
+        assert_parses_as_reference(path)
 
     @settings(max_examples=150, deadline=None)
     @given(text=canonical_csv_texts(), block_chars=st.sampled_from([8, 64, None]))
