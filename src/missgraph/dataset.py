@@ -143,17 +143,6 @@ class Dataset:
         return self.values[:, self.names.index(name)]
 
 
-def _parse_cell(text: str, na_tokens: frozenset[str]) -> float:
-    """Return the cell value, NaN if the trimmed text is a missing token."""
-    trimmed = text.strip()
-    if trimmed in na_tokens:
-        return math.nan
-    value = float(trimmed)  # may raise ValueError
-    if not math.isfinite(value):
-        raise ValueError("non-finite")
-    return value
-
-
 def read_json(path: str | Path, what: str, error: type[MissgraphError] = ConfigError):
     """The JSON value in the UTF-8 file ``path`` (a leading BOM is skipped);
     ``error``, naming the file ``what``, if it cannot be read or is not JSON."""
@@ -202,36 +191,28 @@ def parse_csv(
 
     Raises
     ------
-    ParseError for missing files, empty tables, a blank header row or cell,
-    and the first fault in file order, the file's own faults included:
-    text that is not UTF-8 (met at its own line), a record the CSV reader
-    rejects (with its line), a ragged row (with its number) or a cell that
-    is not a finite number (with row/column coordinates).  A header that
-    fails its own checks is named only if the file's first 8 KiB are UTF-8;
-    SchemaError for duplicate header names and schema keys naming no column.
+    ParseError for a missing file or a header with no data rows below it;
+    else the first fault in file order, as :func:`_first_fault` names it:
+    an empty file, a blank first line or header cell, duplicate header names
+    or schema keys naming no column (each a SchemaError), text that is not
+    UTF-8 (met at its own line), a record the CSV reader rejects (with its
+    line), a ragged row (with its number) or a cell that is not a finite
+    number (with row/column coordinates).
     """
     path = Path(path)
     na = frozenset(str(t).strip() for t in na_tokens)
+    schema = schema or {}
     if not path.is_file():
         raise ParseError(f"input file not found: {path}")
     with path.open(newline="", encoding="utf-8-sig") as handle:
         try:
-            header = next(csv.reader(handle), None)
+            header = [h.strip() for h in next(csv.reader(handle), [])]
         except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
-            raise ParseError(_first_fault(path, na)) from None
-        if header is None:
-            raise ParseError(f"{path}: empty file, expected a header row")
-        if not header:  # a blank first line
-            raise ParseError(f"{path}: empty header row")
-        header = [h.strip() for h in header]
-        if "" in header:
-            raise ParseError(f"{path}: header cell {header.index('') + 1} is blank")
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise SchemaError(f"{path}: duplicate header name(s): {', '.join(dupes)}")
-        unknown = sorted(set(schema or {}) - set(header))
-        if unknown:
-            raise SchemaError(f"{path}: schema names no column: {', '.join(unknown)}")
+            header = []
+        # The header's read failed, or the header breaks a rule.
+        names = set(header)
+        if not names or "" in names or len(names) != len(header) or set(schema) - names:
+            raise _first_fault(path, na, schema)
         n_cols = len(header)
         # The parsed cells, row after row, 8 bytes each (a missing cell is
         # _NA), in one buffer.  Blocks of plain records are converted whole;
@@ -254,15 +235,14 @@ def parse_csv(
                     raise ValueError("ragged row")
                 cells.extend([_NA if (t := c.strip()) in na else float(t) for c in row])
         except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
-            raise ParseError(_first_fault(path, na)) from None
+            raise _first_fault(path, na, schema) from None
     if not cells:
         raise ParseError(f"{path}: no data rows below the header")
     values = np.frombuffer(cells, dtype=float).reshape(len(cells) // n_cols, n_cols)
     mask = values.view(np.uint64) != _NA_BITS
     if (mask & ~np.isfinite(values)).any():
-        raise ParseError(_first_fault(path, na))
+        raise _first_fault(path, na, schema)
     values[~mask] = np.nan
-    schema = schema or {}
     metas = tuple(
         VariableMeta(name=name, category=schema.get(name, Category.OTHER))
         for name in header
@@ -341,37 +321,54 @@ def _bulk_block(lines: list[str], n_cols: int, tokens: list[str]) -> np.ndarray 
     return values
 
 
-def _first_fault(path: Path, na: frozenset[str]) -> str:
-    """Message of the first fault of ``path`` in file order, read again with
-    each line decoded on its own: text that is not UTF-8, a record the csv
-    reader rejects (with its line), a data record of the wrong length (before
-    its cells), a cell :func:`_parse_cell` rejects, or else that the file
-    changed since."""
+def _first_fault(
+    path: Path, na: frozenset[str], schema: dict[str, Category]
+) -> ParseError:
+    """Error of the first fault of ``path`` in file order, read again with
+    each line decoded on its own: on any line, text that is not UTF-8 or a
+    record the csv reader rejects (with its line); in the header, an empty
+    file, a blank first line or cell, then duplicate names and ``schema``
+    keys naming no column (each a SchemaError); in a data record, a wrong
+    length (before its cells), then a cell that is neither an NA token nor a
+    finite number once trimmed; or else that the file changed since."""
     with suppress(OSError), path.open("rb") as handle:
         # bytes.splitlines ends a line where the csv reader does: \n, \r\n, \r.
         lines = (line for piece in handle for line in piece.splitlines(keepends=True))
         records = csv.reader(codecs.iterdecode(lines, "utf-8-sig"))
         try:
-            header = [h.strip() for h in next(records, [])]
+            header = next(records, None)
+            if header is None:
+                return ParseError(f"{path}: empty file, expected a header row")
+            if not header:  # a blank first line
+                return ParseError(f"{path}: empty header row")
+            header = [h.strip() for h in header]
+            if "" in header:
+                return ParseError(
+                    f"{path}: header cell {header.index('') + 1} is blank"
+                )
+            if dupes := ", ".join(sorted({h for h in header if header.count(h) > 1})):
+                return SchemaError(f"{path}: duplicate header name(s): {dupes}")
+            if unknown := ", ".join(sorted(schema.keys() - set(header))):
+                return SchemaError(f"{path}: schema names no column: {unknown}")
             for row_no, row in enumerate(records, start=2):
                 if len(row) != len(header):
-                    return (
+                    return ParseError(
                         f"{path}: row {row_no} has {len(row)} cells,"
                         f" expected {len(header)}"
                     )
                 for column, cell in zip(header, row):
-                    try:
-                        _parse_cell(cell, na)
-                    except ValueError:
-                        return (
-                            f"{path}: row {row_no}, column {column!r}: "
-                            f"cannot parse {cell!r} as a finite number"
-                        )
+                    with suppress(ValueError):
+                        if (t := cell.strip()) in na or math.isfinite(float(t)):
+                            continue
+                    return ParseError(
+                        f"{path}: row {row_no}, column {column!r}: "
+                        f"cannot parse {cell!r} as a finite number"
+                    )
         except UnicodeDecodeError as exc:
-            return f"{path}: not UTF-8 text ({exc.reason})"
+            return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
         except csv.Error as exc:
-            return f"{path}: line {records.line_num}: {exc}"
-    return f"{path}: changed while it was being read"
+            return ParseError(f"{path}: line {records.line_num}: {exc}")
+    return ParseError(f"{path}: changed while it was being read")
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:

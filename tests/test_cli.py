@@ -657,6 +657,21 @@ class TestExitCodes:
         assert (payload["kind"], payload["stage"]) == ("parse", "parse")
         assert payload["message"] == f"{data}: header cell {position} is blank"
 
+    def test_duplicate_header_before_a_bad_byte_is_parse_error(self, tmp_path, capsys):
+        # The bad byte lies in the first 8 KiB, which the header's read
+        # decodes, and after a ragged row 3: the header's fault comes first.
+        data = tmp_path / "dupes.csv"
+        data.write_bytes(b"a,a\n1,2\n3\n\xe9,3\n")
+        code, out, err = run(
+            ["analyze", "--input", str(data), "--out", str(tmp_path / "o")], capsys
+        )
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["kind"], payload["stage"]) == ("parse", "parse")
+        assert payload["message"] == f"{data}: duplicate header name(s): a"
+
     def test_schema_key_naming_no_column_is_parse_error(self, tmp_path, capsys):
         schema = tmp_path / "schema.json"
         schema.write_text('{"lab_valu": "BloodTests"}')

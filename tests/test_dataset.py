@@ -139,6 +139,15 @@ class TestParseCsv:
         with pytest.raises(SchemaError, match="agee"):
             parse_csv(data, schema=schema)
 
+    def test_schema_key_naming_no_column_before_a_bad_byte(self, tmp_path):
+        # The header's read fails at the bad byte in its first 8 KiB; the
+        # schema's fault still comes before the ragged row 3.
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"a,b\n1,2\n3\n\xe9,4\n")
+        with pytest.raises(SchemaError) as raised:
+            parse_csv(data, schema={"c": Category.OTHER})
+        assert str(raised.value) == f"{data}: schema names no column: c"
+
     def test_schema_file_with_byte_order_mark(self, tmp_path):
         schema = tmp_path / "schema.json"
         schema.write_bytes(b"\xef\xbb\xbf" + b'{"hr": "VitalPhysiology"}')
@@ -235,7 +244,8 @@ class TestParseCsv:
 
 def reference_parse(path, na_tokens=DEFAULT_NA_TOKENS):
     """Values of a CSV read cell by cell in file order, each line decoded on
-    its own when the csv reader asks for it: a stripped cell that equals a
+    its own when the csv reader asks for it: the header must be a line of
+    distinct names, none blank once stripped; a stripped cell that equals a
     stripped NA token is NaN, any other cell must be a finite float; errors
     as parse_csv's, text that is not UTF-8 and a record the csv reader
     rejects among them."""
@@ -250,9 +260,17 @@ def reference_parse(path, na_tokens=DEFAULT_NA_TOKENS):
 
 
 def _reference_rows(path, reader, na):
-    header = [h.strip() for h in next(reader)]
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in header]
     if not header:
         raise ParseError(f"{path}: empty header row")
+    if "" in header:
+        raise ParseError(f"{path}: header cell {header.index('') + 1} is blank")
+    dupes = sorted({h for h in header if header.count(h) > 1})
+    if dupes:
+        raise SchemaError(f"{path}: duplicate header name(s): {', '.join(dupes)}")
     rows = []
     for row_no, row in enumerate(reader, start=2):
         if len(row) != len(header):
@@ -281,13 +299,13 @@ def _reference_rows(path, reader, na):
 
 def assert_parses_as_reference(path, **kwargs):
     """parse_csv(path) reads reference_parse's values, bit for bit, and its
-    mask, or raises the same ParseError."""
+    mask, or raises the same error: its class and its message."""
     try:
         expected = reference_parse(path, **kwargs)
     except ParseError as exc:
         with pytest.raises(ParseError) as raised:
             parse_csv(path, **kwargs)
-        assert str(raised.value) == str(exc)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
         return
     ds = parse_csv(path, **kwargs)
     np.testing.assert_array_equal(ds.values.view(np.uint64), expected.view(np.uint64))
@@ -302,7 +320,9 @@ CELL_FAULTS = ["abc", "inf", "-inf", "nan", "1e999", '"1\n"']
 @st.composite
 def csv_texts(draw):
     """A CSV text of 1-4 columns and 1-6 records of finite numbers and NA
-    tokens, some padded with spaces, carrying 0-3 injected faults."""
+    tokens, some padded with spaces, carrying 0-3 injected faults, and now
+    and then a fault of the header: a blank name, a duplicate name or a
+    blank first line."""
     n_cols = draw(st.integers(1, 4))
     cell = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -322,8 +342,15 @@ def csv_texts(draw):
             row.pop()
         else:
             row.append("1")
-    header = ",".join(f"v{j}" for j in range(n_cols))
-    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    names = [f"v{j}" for j in range(n_cols)]
+    header_fault = draw(st.sampled_from([None] * 5 + ["blank", "duplicate", "line"]))
+    if header_fault == "blank":
+        names[draw(st.integers(0, n_cols - 1))] = draw(st.sampled_from(["", " "]))
+    elif header_fault == "duplicate" and n_cols > 1:
+        names[-1] = f" {draw(st.sampled_from(names[:-1]))}"
+    elif header_fault == "line":
+        names = []
+    return ",".join(names) + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
 @st.composite
@@ -428,6 +455,15 @@ class TestParseMatchesCellByCellReference:
         "byte_order_mark_and_bad_cell_in_column_1": (
             b"\xef\xbb\xbfa,b\nx,2\n",
             "row 2, column 'a': cannot parse 'x' as a finite number",
+        ),
+        "blank_header_cell_before_a_bad_byte": (
+            b"v0, ,v2\n1,2,3\n4,5,1e999\n\xe9,1,2\n", "header cell 2 is blank"
+        ),
+        "duplicate_header_before_a_bad_byte": (
+            b"a,a\n1,2\n3\n\xe9,1\n", "duplicate header name(s): a"
+        ),
+        "blank_first_line_before_a_bad_byte": (
+            b"\n1,2\n3\n\xe9\n", "empty header row"
         ),
     }
 
@@ -545,11 +581,19 @@ class TestParseMatchesCellByCellReference:
         assert escaped == []
 
     @pytest.mark.parametrize(
-        "rewritten", ["a,b\n1,2\n3,4\n", "a,b\n", None],
-        ids=["repaired", "truncated", "deleted"],
+        "text, rewritten",
+        [
+            ("a,b\n1,2\n3,inf\n", "a,b\n1,2\n3,4\n"),
+            ("a,b\n1,2\n3,inf\n", "a,b\n"),
+            ("a,b\n1,2\n3,inf\n", None),
+            ("a,a\n1,2\n", "a,b\n1,2\n"),
+        ],
+        ids=["repaired", "truncated", "deleted", "repaired_header"],
     )
-    def test_file_changed_before_the_second_read(self, rewritten, tmp_path, monkeypatch):
-        path = write(tmp_path, "a,b\n1,2\n3,inf\n")
+    def test_file_changed_before_the_second_read(
+        self, text, rewritten, tmp_path, monkeypatch
+    ):
+        path = write(tmp_path, text)
         first_fault = dataset._first_fault
 
         def change_then_read(*args):
